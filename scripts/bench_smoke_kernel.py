@@ -1,14 +1,15 @@
-"""CI benchmark smoke: tiny full_figure_grid, kernel on vs off.
+"""CI benchmark smoke: tiny full_figure_grid, batched engine vs spec.
 
 Runs the complete figure grid (3 queries x 2 platforms x 5 process
-counts) at a very small scale factor twice — once with the columnar
-batch kernel enabled (``fast_path=True``, the default) and once forced
-onto the per-reference slow loop — asserts every cell's counters and
-clocks are bitwise-equal, and appends a datapoint to a bench JSON the
-workflow uploads as an artifact.  This is a *smoke* check: it proves
-the kernel's equivalence claim holds on every push for real TPC-H
-traffic, not just synthetic fuzz traces; kernel throughput numbers
-come from ``benchmarks/bench_kernel_replay.py`` at replay scale.
+counts) at a very small scale factor twice — once through the batched
+engine (``fast_path=True``, the default) and once through the
+per-reference specification (``fast_path=False``, one
+``MemorySystem.access`` call per reference) — asserts every cell's
+counters and clocks are bitwise-equal, and appends a datapoint to a
+bench JSON the workflow uploads as an artifact.  This is a *smoke*
+check: it proves the engine's equivalence claim holds on every push
+for real TPC-H traffic, not just synthetic fuzz traces; throughput
+numbers come from ``bench/run.py``.
 
 Usage: python scripts/bench_smoke_kernel.py [out_dir]
 """
@@ -72,9 +73,9 @@ def main(argv=None) -> int:
         "equal": not mismatches,
     }
     append_datapoint("smoke_kernel", record, root=out_dir)
-    print(f"bench smoke (kernel): {record}")
+    print(f"bench smoke (batched engine): {record}")
     if mismatches:
-        print(f"fast/slow kernel results DIVERGE for {len(mismatches)} cells:")
+        print(f"engine/spec results DIVERGE for {len(mismatches)} cells:")
         for key in mismatches:
             print(f"  {key}")
         return 1

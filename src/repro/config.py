@@ -76,13 +76,12 @@ class SimConfig:
     #: the paper's machines have caches large enough that quantum-length
     #: daemon activity barely dents them).
     cs_pollution_lines: int = 0
-    #: Resolve runs of private L1 hits (E/M lines, or S reads) in a
-    #: batched pass inside :meth:`repro.mem.memsys.MemorySystem
-    #: .access_batch` instead of one ``access`` call per reference.
-    #: Private hits generate no protocol traffic and no stall, so the
-    #: fast path cannot change any simulated counter — it is an
-    #: implementation speedup only, with this escape hatch for A/B
-    #: equivalence testing.
+    #: Hand each batch to the batched engine (:meth:`repro.mem.memsys.
+    #: MemorySystem.access_batch`) instead of one ``access`` call per
+    #: reference.  The engine is bitwise-equivalent to ``access`` — an
+    #: implementation speedup only — and ``False`` is the escape hatch
+    #: that runs the per-reference specification for A/B equivalence
+    #: testing.
     fast_path: bool = True
 
     def __post_init__(self) -> None:

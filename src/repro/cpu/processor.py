@@ -32,32 +32,18 @@ class Processor:
         it consumed.  ``now`` feeds the interconnect's bank-queueing
         model, so it must be the owning process's current CPU clock.
 
-        With ``memsys.fast_path`` (the default) the whole batch is
-        handed to :meth:`MemorySystem.access_batch` — the hierarchy-wide
-        batched engine.  Short batches run its flattened scalar loop;
-        long ones enter the columnar NumPy kernel, which classifies
-        eviction-free prefixes against the batch's column arrays
-        (:meth:`RefBatch.columns` — zero-copy when the batch was built
-        columnar, as the synthetic generator and trace loader do) and
-        retires them in bulk array operations.  The slow per-reference
-        loop below is kept as the reference implementation and produces
-        bitwise identical counters and timing on every path.
+        The whole batch is handed to :meth:`MemorySystem.access_batch`
+        — the batched engine, or, on a memory system built with
+        ``fast_path=False`` or observed by an exact sink, the
+        per-reference specification (:meth:`MemorySystem.access_each`).
+        Both produce bitwise identical counters and timing; the float
+        cycle total is truncated once per batch, here.
         """
-        base_cpi = self.machine.base_cpi
-        memsys = self.memsys
-        cpu = self.cpu_id
-        if memsys.fast_path:
-            cycles = memsys.access_batch(cpu, batch, now, base_cpi)
-        else:
-            access = memsys.access
-            cycles = 0.0
-            t = now
-            for addr, is_write, instrs, cls in batch:
-                cost = instrs * base_cpi
-                cost += access(cpu, addr, is_write, cls, int(t + cost))
-                cycles += cost
-                t += cost
-        total = int(cycles)
+        total = int(
+            self.memsys.access_batch(
+                self.cpu_id, batch, now, self.machine.base_cpi
+            )
+        )
         self.instrs_retired += batch.total_instrs
         self.cycles_executed += total
         return total

@@ -49,15 +49,6 @@ class CacheHierarchy:
         #: Every level above the coherent one, innermost first.
         self._inner = self.levels[:-1]
 
-    def batch_views(self):
-        """Batched-engine entry point: the L1's hot view plus (for
-        multi-level hierarchies) the coherent level's, else ``None``.
-        See :meth:`SetAssocCache.hot_view` for the contract."""
-        return (
-            self.l1.hot_view(),
-            self.coherent.hot_view() if self.has_l2 else None,
-        )
-
     def soa_views(self):
         """Columnar snapshot of the whole hierarchy: one
         struct-of-arrays view per level, innermost (L1) first, the

@@ -12,27 +12,23 @@ maintains all counters the paper's figures need:
   PA-8200's open-request counter (Fig. 9),
 * upgrade and intervention counts.
 
-Batched execution (:meth:`MemorySystem.access_batch`) dispatches
-between two engines, both bitwise-equivalent to the per-reference
-slow path:
-
-* a **flattened scalar engine** that, besides resolving private hits
-  inline, executes the *common-case* directory transactions (unowned
-  and shared fetches with no intervention and no sharer invalidation)
-  against the directory dict, bank-queue dicts and cache sets directly
-  — only interventions, sharer invalidations and upgrades fall back to
-  the full :meth:`_coherent_miss` / :meth:`_do_upgrade` helpers;
-* a **columnar NumPy kernel** for long batches that classifies the
-  eviction-free prefix of the reference stream in one vectorized
-  pre-pass and bulk-applies it, leaving a scalar residue loop for only
-  the references the masks flag as leaving the fast path.
+An access is implemented exactly twice.  :meth:`MemorySystem.access`
+is the executable specification — one reference, every transition
+through the engine and interconnect methods.
+:meth:`MemorySystem.access_batch` is the one batched engine: a
+flattened loop that, besides resolving private hits inline, executes
+the *common-case* directory transactions (unowned and shared fetches
+with no intervention and no sharer invalidation) against the directory
+dict, bank-queue dicts and cache sets directly — only interventions,
+sharer invalidations and upgrades fall back to the full
+:meth:`_coherent_miss` / :meth:`_do_upgrade` helpers.  The two are
+bitwise-equivalent; :meth:`MemorySystem.access_each` runs a batch
+through the specification.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
-
-import numpy as np
 
 from ..obs import schema as _schema
 from ..obs.bus import MEMSYS_EVENTS, SinkRegistry
@@ -107,18 +103,6 @@ class MemorySystem:
     """All caches, the directory protocol, and the interconnect of one
     machine instance.  ``machine`` should already be scaled."""
 
-    #: Batches at least this long go through the columnar NumPy kernel;
-    #: shorter ones (the executor's per-page emission averages ~12
-    #: references) stay on the flattened scalar engine, whose per-batch
-    #: prologue is cheaper than a single NumPy dispatch.  Both engines
-    #: are bitwise-identical, so the threshold is a pure tuning knob.
-    VECTOR_MIN_REFS = 48
-    #: The vectorized pre-pass re-classifies the remainder of a batch
-    #: after each slow reference; when the next eviction-free prefix is
-    #: shorter than this, classification costs more than it saves and
-    #: the residue is handed to the scalar engine instead.
-    VECTOR_MIN_PREFIX = 16
-
     def __init__(
         self,
         machine: MachineConfig,
@@ -128,6 +112,9 @@ class MemorySystem:
         self.machine = machine
         self.aspace = aspace
         self.fast_path = fast_path
+        if not fast_path:
+            # the escape hatch: every batch through the specification
+            self.access_batch = self.access_each
         self.topology = machine.build_topology()
         self.interconnect = machine.build_interconnect(self.topology)
         self.hierarchies: List[CacheHierarchy] = [
@@ -146,10 +133,10 @@ class MemorySystem:
         self._after_tx_cbs = self._sinks.callbacks["after_transaction"]
         self._after_silent_cbs = self._sinks.callbacks["after_silent_upgrade"]
         #: Deferred observation (see :meth:`attach_deferred_sink`):
-        #: when set, the batched engines append the byte address of
-        #: every completed transaction here and hand the log to the
-        #: sink at each batch boundary — no method shadowing, so the
-        #: fast engines keep running.
+        #: when set, every completed transaction appends its byte
+        #: address here and the log is handed to the sink at each batch
+        #: boundary — no method shadowing, so the batched engine keeps
+        #: running.
         self._txlog: Optional[List[int]] = None
         self._deferred_sink = None
         # hot-path caching of config values
@@ -176,7 +163,7 @@ class MemorySystem:
         self._prefetch = machine.prefetch_next_line and self._has_l2
         self._l1_shift = machine.caches[0].line_shift
         self.n_prefetch_fills = 0
-        #: The flattened scalar engine's inline miss lanes transcribe
+        #: The batched engine's inline miss lanes transcribe
         #: the 1/2-level crossbar/hypercube fast cases only; machines
         #: outside that envelope (3 levels, prefetcher, islands
         #: interconnects with per-socket bank interleaving) route every
@@ -197,9 +184,9 @@ class MemorySystem:
         #: lookups almost always land in the same one.  Valid because a
         #: segment's range and home never change once allocated.
         self._home_span: Tuple[int, int, int] = (1, 0, 0)
-        # Inline-lane constants (the flattened scalar engine executes
+        # Inline-lane constants (the batched engine executes
         # common-case directory transactions without entering the
-        # engine/interconnect methods; see `_access_batch_scalar`).
+        # engine/interconnect methods; see `access_batch`).
         ic = self.interconnect
         lat = machine.latency
         self._mem_base = lat.mem_base
@@ -210,7 +197,7 @@ class MemorySystem:
         self._bank_load = ic._load
         self._bank_spill = ic._spill
         self._dir_entries = self.engine.directory._entries
-        #: Per-CPU hoisted state for the batched engines: one tuple
+        #: Per-CPU hoisted state for the batched engine: one tuple
         #: unpack replaces ~20 attribute lookups and method binds per
         #: batch (batches average tens of references, so the prologue
         #: is a measurable share of the engine's time).  Everything in
@@ -218,14 +205,10 @@ class MemorySystem:
         #: stats/hierarchy objects are never replaced, ``flush`` and
         #: ``reset_contention`` clear their dicts in place, and the
         #: bound helpers captured here are the *unobserved* ones —
-        #: attaching a sink shadows ``access_batch`` itself, so this
-        #: context is never consulted while observation is on.
+        #: attaching a sink shadows ``access_batch`` with
+        #: ``access_each``, so this context is never consulted while
+        #: observation is on.
         self._batch_ctx = []
-        #: Per-CPU opener size for the vector kernel's adaptive
-        #: classification window.  Carried across batches so sustained
-        #: hit streams keep cruising at large windows; purely a
-        #: performance state, a function of the reference stream only.
-        self._vec_window = [64] * machine.n_cpus
         for cpu in range(machine.n_cpus):
             h = self.hierarchies[cpu]
             l1_sets, l1_shift, l1_mask = h.l1.hot_view()
@@ -331,9 +314,9 @@ class MemorySystem:
         h: CacheHierarchy,
     ) -> int:
         """Everything below the L1: a hit at any inner level (L2 or
-        L3), or a directory transaction.  Shared by :meth:`access`, the
-        observed batch path, and — on machines outside the inline
-        lanes' envelope — the batched engines."""
+        L3), or a directory transaction.  Shared by :meth:`access` and —
+        on machines outside the inline lanes' envelope — the batched
+        engine."""
         st.level1_misses += 1
         st.level1_misses_by_class[cls] += 1
 
@@ -399,7 +382,7 @@ class MemorySystem:
         h: CacheHierarchy,
     ) -> int:
         """The directory transaction below every cache level.  Split
-        from :meth:`_miss` so the batched engines, which resolve the
+        from :meth:`_miss` so the batched engine, which resolves the
         L1-miss bookkeeping and the L2 probe inline, can enter the
         hierarchy exactly here."""
         home = self._home(addr)
@@ -433,41 +416,43 @@ class MemorySystem:
             self._txlog.append(addr)
         return stall
 
+    def access_each(self, cpu: int, batch, now: int, base_cpi: float) -> float:
+        """Run a whole :class:`~repro.trace.stream.RefBatch` through the
+        specification: one :meth:`access` call per reference.
+
+        This is what ``fast_path=False`` executes, what the
+        equivalence suites and the fuzzer compare the batched engine
+        against, and — because :meth:`access` publishes every
+        transition to attached sinks at the exact reference that caused
+        it — what a memory system with an exact sink attached executes
+        (see :meth:`attach_sink`).  Same contract as
+        :meth:`access_batch`: returns the float cycles consumed and
+        drains the deferred transaction log at the batch boundary.
+        """
+        access = self.access
+        cycles = 0.0
+        t = now
+        for addr, is_write, instrs, cls in batch:
+            cost = instrs * base_cpi
+            cost += access(cpu, addr, is_write, cls, int(t + cost))
+            cycles += cost
+            t += cost
+        txlog = self._txlog
+        if txlog:
+            self._deferred_sink.on_batch_end(cpu, txlog)
+            del txlog[:]
+        return cycles
+
     def access_batch(self, cpu: int, batch, now: int, base_cpi: float) -> float:
         """Run a whole :class:`~repro.trace.stream.RefBatch`; return the
         float cycles it consumed (the caller truncates once per batch).
 
-        Dispatches on batch length: long batches go through the
-        columnar NumPy kernel (:meth:`_access_batch_vector`), short
-        ones through the flattened scalar engine
-        (:meth:`_access_batch_scalar`).  Both mirror the per-reference
-        slow path operation-for-operation (same float additions in the
-        same order, same dictionary operations on every cache set and
-        directory entry), so counters, timing, and final cache state
-        are bitwise identical across all three; ``SimConfig.
-        fast_path=False`` forces the slow loop and the equivalence
-        suites compare the paths counter-for-counter.
-
-        When transition sinks are attached this method is shadowed
-        by :meth:`_access_batch_observed`, which routes every L1 miss
-        through :meth:`_miss` so the sinks see the exact per-
-        reference hook sequence of the slow path.
-        """
-        if len(batch) >= self.VECTOR_MIN_REFS:
-            return self._access_batch_vector(cpu, batch, now, base_cpi)
-        return self._access_batch_scalar(cpu, batch, now, base_cpi)
-
-    def _access_batch_scalar(
-        self,
-        cpu: int,
-        batch,
-        now: int,
-        base_cpi: float,
-        start: int = 0,
-        t0: Optional[float] = None,
-        cycles0: float = 0.0,
-    ) -> float:
-        """The flattened scalar engine.
+        The one batched engine.  It mirrors :meth:`access` operation
+        for operation (same float additions in the same order, same
+        dictionary operations on every cache set and directory entry),
+        so counters, timing and final cache state are bitwise identical
+        to :meth:`access_each`; the equivalence suites and the fuzzer
+        compare the two counter for counter.
 
         Everything that generates no directory transaction is resolved
         inline against the cache set structures (via
@@ -496,8 +481,10 @@ class MemorySystem:
         :meth:`_coherent_miss` helpers :meth:`access` uses, preserving
         the exact transition semantics by construction.
 
-        ``start``/``t0``/``cycles0`` let the vectorized kernel hand
-        over mid-batch with the float accumulator chain intact.
+        On a memory system built with ``fast_path=False``, or while an
+        exact sink is attached, this name is shadowed by
+        :meth:`access_each`, so callers hand every batch to
+        ``access_batch`` unconditionally.
         """
         (
             st,
@@ -570,24 +557,17 @@ class MemorySystem:
         by_class = None  # lazily allocated: most batches never miss
         run_line = -1  # spatial-run tracking: L1 line of the previous ref
         run_state = 0
-        cycles = cycles0
-        t = float(now) if t0 is None else t0
-        if start:
-            refs = zip(
-                batch.addrs[start:],
-                batch.writes[start:],
-                batch.instrs[start:],
-                batch.classes[start:],
-            )
-        else:
-            refs = zip(batch.addrs, batch.writes, batch.instrs, batch.classes)
-        for addr, is_write, instrs, cls in refs:
+        cycles = 0.0
+        t = float(now)
+        for addr, is_write, instrs, cls in zip(
+            batch.addrs, batch.writes, batch.instrs, batch.classes
+        ):
             cost = instrs * base_cpi
             line = addr >> l1_shift
             if line == run_line:
                 # Same line as the previous reference: it is resident
                 # and already MRU, so no set lookup or promotion — the
-                # probe the slow path performs would be a no-op.
+                # probe `access` performs would be a no-op.
                 if not is_write:
                     n_reads += 1
                     cycles += cost
@@ -873,244 +853,6 @@ class MemorySystem:
             del txlog[:]
         return cycles
 
-    def _access_batch_vector(
-        self, cpu: int, batch, now: int, base_cpi: float
-    ) -> float:
-        """The columnar NumPy kernel for long batches.
-
-        One vectorized pre-pass classifies the *eviction-free prefix*
-        of the (remaining) reference stream against a struct-of-arrays
-        gather of the L1 state: line extraction (``addrs >> l1_shift``),
-        a per-unique-line state gather, and boolean masks for private
-        hits, silent E→M upgrades (the first E-write per coherence
-        line — a silent upgrade restates every resident sub-line of
-        its coherence line to M, so later E-writes are plain hits) and
-        slow references (absent lines, S-writes).  Within that prefix
-        nothing changes residency, so batch-start classification is
-        exact; the prefix is applied in bulk — counters via
-        ``count_nonzero``, the float cycle chain via
-        ``np.add.accumulate`` (sequential, so the accumulation order
-        matches the scalar loop bit for bit), and LRU by promoting
-        each touched line once in last-touch order, which yields the
-        same final recency order as per-reference promotion.
-
-        The reference that ends the prefix goes through the
-        per-reference :meth:`access` path — the original reference
-        implementation — after which the remainder is re-classified
-        from a fresh gather (so any eviction, fill or invalidation it
-        caused is naturally accounted).  When the next prefix is too
-        short to pay for its pre-pass, the whole residue is handed to
-        the flattened scalar engine with the accumulator chain intact.
-
-        Classification runs over a bounded *adaptive window*, not the
-        whole remainder: re-gathering everything after each slow
-        reference would make miss-heavy batches quadratic in exchange
-        for prefixes they never yield.  The window starts small,
-        doubles each time a window turns out to be all-fast (so
-        hit-heavy streams converge to large, cheap sweeps), and shrinks
-        back to twice the observed prefix after a slow reference (so
-        the work a gather can waste stays proportional to the work it
-        buys).  Windowed application is exact: every window is applied
-        from a fresh gather, so cross-window staleness cannot occur,
-        and window-by-window bulk LRU promotion composes to the same
-        final recency order as per-reference promotion.
-        """
-        (
-            st,
-            h,
-            l1,
-            l1_sets,
-            l1_shift,
-            l1_mask,
-            l1_assoc,
-            l2,
-            l2_sets,
-            l2_shift,
-            l2_mask,
-            l2_assoc,
-            l1_per_coh,
-            set_state,
-            coherent_miss,
-            do_upgrade,
-            note_silent,
-            ever_cached,
-            lost_inval,
-            dist_row,
-            bank_mod,
-        ) = self._batch_ctx[cpu]
-        a_np, w_np, i_np, c_np = batch.columns()
-        n = a_np.shape[0]
-        costs = i_np * base_cpi
-        lines_np = a_np >> l1_shift
-        addrs = batch.addrs  # Python lists for the scalar residue refs
-        writes = batch.writes
-        instrs = batch.instrs
-        classes = batch.classes
-        access = self.access
-        txlog = self._txlog
-        modified = MODIFIED
-        min_prefix = self.VECTOR_MIN_PREFIX
-        n_reads = 0
-        n_writes = 0
-        n_silent = 0
-        pos = 0
-        cycles = 0.0
-        t = float(now)
-        # The opener window carries over from this CPU's previous
-        # batch: replay-scale hit streams keep cruising at large
-        # windows instead of re-paying six doublings of fixed numpy
-        # gather cost per batch, while miss-heavy streams stay small.
-        # Window size is a pure function of the reference stream, so
-        # this stays deterministic; it cannot affect results — every
-        # window is applied from a fresh gather regardless of size.
-        window = self._vec_window[cpu]
-        while n - pos >= min_prefix:
-            end = pos + window
-            if end > n:
-                end = n
-            rl = lines_np[pos:end]
-            uniq, inv = np.unique(rl, return_inverse=True)
-            ul = uniq.tolist()
-            st0u = np.fromiter(
-                (l1_sets[l & l1_mask].get(l, 0) for l in ul),
-                dtype=np.int8,
-                count=len(ul),
-            )
-            st0 = st0u[inv.reshape(-1)]
-            wseg = w_np[pos:end]
-            slow = (st0 == 0) | (wseg & (st0 == SHARED))
-            sidx = np.flatnonzero(slow)
-            if sidx.size:
-                s = int(sidx[0])
-                # shrink toward the observed prefix length: a gather
-                # should never cost much more than the refs it retires
-                window = 64 if s < 32 else (4096 if s > 2048 else 2 * s)
-            else:
-                s = end - pos
-                if window < 4096:
-                    window *= 2  # all-fast: sweep bigger chunks
-            if s < min_prefix:
-                break
-            # -- bulk-apply the eviction-free prefix [pos, pos+s) --------
-            nw = int(np.count_nonzero(wseg[:s]))
-            n_writes += nw
-            n_reads += s - nw
-            ew = np.flatnonzero(wseg[:s] & (st0[:s] == EXCLUSIVE))
-            if ew.size:
-                coh_ew = a_np[pos + ew] & self._coh_mask
-                _, first = np.unique(coh_ew, return_index=True)
-                n_silent += first.size
-                for k in np.sort(first).tolist():
-                    addr = addrs[pos + int(ew[k])]
-                    set_state(addr, modified)
-                    note_silent(cpu, addr)
-                    if txlog is not None:
-                        txlog.append(addr)
-            # LRU: one promotion per touched line, in last-touch order —
-            # the same final recency order per-reference promotion gives.
-            seg = rl[:s]
-            u2, r2 = np.unique(seg[::-1], return_index=True)
-            for l in u2[np.argsort(-r2)].tolist():
-                l1_sets[l & l1_mask].move_to_end(l)
-            # float timing: np.add.accumulate is sequential, so seeding
-            # it with the running accumulator reproduces the scalar
-            # loop's left-to-right association exactly.
-            buf = np.empty(s + 1)
-            buf[0] = cycles
-            buf[1:] = costs[pos:pos + s]
-            cycles = float(np.add.accumulate(buf)[-1])
-            buf[0] = t
-            t = float(np.add.accumulate(buf)[-1])
-            pos += s
-            if pos >= n:
-                break
-            if not sidx.size:
-                continue  # all-fast window: nothing slow consumed yet
-            # -- the slow reference, through the reference path ----------
-            addr = addrs[pos]
-            cost = instrs[pos] * base_cpi
-            cost += access(cpu, addr, writes[pos], classes[pos], int(t + cost))
-            cycles += cost
-            t += cost
-            pos += 1
-        st.reads += n_reads
-        st.writes += n_writes
-        if n_silent:
-            st.silent_upgrades += n_silent
-        self._vec_window[cpu] = window
-        if pos < n:
-            # scalar residue (flushes its own bulk counters and drains
-            # the deferred log at its end)
-            return self._access_batch_scalar(
-                cpu, batch, now, base_cpi, start=pos, t0=t, cycles0=cycles
-            )
-        if txlog:
-            self._deferred_sink.on_batch_end(cpu, txlog)
-            del txlog[:]
-        return cycles
-
-    def _access_batch_observed(
-        self, cpu: int, batch, now: int, base_cpi: float
-    ) -> float:
-        """Batch execution with sinks attached: private L1 hits are
-        still resolved inline (they trigger no sink event), but every
-        L1 miss goes through :meth:`_miss` — shadowed to its observing
-        wrapper — so the sinks see the same transition sequence as the
-        per-reference slow path."""
-        st = self.stats[cpu]
-        h = self.hierarchies[cpu]
-        (l1_sets, line_shift, set_mask), _ = h.batch_views()
-        miss = self._miss
-        modified = MODIFIED
-        exclusive = EXCLUSIVE
-        n_reads = 0
-        n_writes = 0
-        cycles = 0.0
-        t = float(now)
-        for addr, is_write, instrs, cls in zip(
-            batch.addrs, batch.writes, batch.instrs, batch.classes
-        ):
-            cost = instrs * base_cpi
-            line = addr >> line_shift
-            cset = l1_sets[line & set_mask]
-            state = cset.get(line, 0)
-            if state:
-                cset.move_to_end(line)  # the MRU promotion probe() does
-                if not is_write or state == modified:
-                    # private hit: no stall, no protocol traffic
-                    if is_write:
-                        n_writes += 1
-                    else:
-                        n_reads += 1
-                    cycles += cost
-                    t += cost
-                    continue
-                n_writes += 1
-                if state == exclusive:
-                    h.set_state(addr, modified)
-                    self.engine.note_silent_upgrade(cpu, addr)
-                    st.silent_upgrades += 1
-                    if self._txlog is not None:
-                        self._txlog.append(addr)
-                else:
-                    # write hit on SHARED: ownership upgrade
-                    cost += self._do_upgrade(cpu, addr, int(t + cost), st, h)
-            else:
-                if is_write:
-                    n_writes += 1
-                else:
-                    n_reads += 1
-                cost += miss(cpu, addr, is_write, cls, int(t + cost), st, h)
-            cycles += cost
-            t += cost
-        st.reads += n_reads
-        st.writes += n_writes
-        txlog = self._txlog
-        if txlog:
-            self._deferred_sink.on_batch_end(cpu, txlog)
-            del txlog[:]
-        return cycles
-
     def _do_upgrade(
         self, cpu: int, addr: int, now: int, st: CpuMemStats, h: CacheHierarchy
     ) -> int:
@@ -1154,8 +896,10 @@ class MemorySystem:
         completed miss/upgrade directory transaction (and any eviction
         it caused), ``after_silent_upgrade(cpu, addr)`` after a silent
         E→M write.  The first sink installs observing wrappers over the
-        transition helpers by instance-attribute shadowing; later sinks
-        just join the dispatch lists the wrappers already iterate.  A
+        transition helpers by instance-attribute shadowing and routes
+        batches through :meth:`access_each`, so the sinks see every
+        event at the exact reference that caused it; later sinks just
+        join the dispatch lists the wrappers already iterate.  A
         :class:`MemorySystem` with no sink attached (or whose last sink
         detached) executes exactly the unhooked bytecode — disabled
         observation costs nothing.
@@ -1163,7 +907,7 @@ class MemorySystem:
         if self._sinks.add(sink):
             self._miss = self._miss_observed
             self._do_upgrade = self._do_upgrade_observed
-            self.access_batch = self._access_batch_observed
+            self.access_batch = self.access_each
             engine = self.engine
             orig_note = engine.note_silent_upgrade
             silent_cbs = self._after_silent_cbs
@@ -1181,17 +925,19 @@ class MemorySystem:
         if self._sinks.remove(sink):
             del self._miss
             del self._do_upgrade
-            del self.access_batch
+            if self.fast_path:
+                del self.access_batch
             del self.engine.note_silent_upgrade
 
     def attach_deferred_sink(self, sink) -> None:
         """Register a *deferred* observation sink.
 
-        Unlike :meth:`attach_sink`, no method is shadowed and the fast
-        batched engines keep running: they append the byte address of
-        every completed transaction (miss, upgrade, or silent upgrade)
-        to an internal log and call ``sink.on_batch_end(cpu, log)`` at
-        each batch boundary, after the bulk counters are flushed.  The
+        Unlike :meth:`attach_sink`, no method is shadowed and the
+        batched engine keeps running: every completed transaction
+        (miss, upgrade, or silent upgrade) appends its byte address to
+        an internal log, and :meth:`access_batch` and
+        :meth:`access_each` alike call ``sink.on_batch_end(cpu, log)``
+        at each batch boundary, after the bulk counters are flushed.  The
         sink must consume the log during the call (it is cleared right
         after).  This is the hook for the batched array-verification
         mode of :class:`repro.verify.invariants.BatchedInvariantChecker`

@@ -146,8 +146,8 @@ def arrays_to_tape(arrays: Dict[str, np.ndarray], lock_names: List[str]) -> List
     """Inverse of :func:`tape_to_arrays`.
 
     Rebuilt batches are NumPy-born (:meth:`RefBatch.from_columns` over
-    zero-copy slices of the decoded columns), so a decoded trace feeds
-    the vectorized kernel without a list detour.  Raises
+    zero-copy slices of the decoded columns); the Python-list form the
+    batched engine iterates is materialized once, on first use.  Raises
     :class:`TraceError` on structural nonsense (op codes out of range,
     column lengths disagreeing with batch sizes) so the store can
     degrade to a miss.

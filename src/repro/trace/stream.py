@@ -18,8 +18,8 @@ executor's per-page emission, where list appends beat per-element NumPy
 indexing by a wide margin) or from NumPy columns (synthetic traces,
 trace files, replay).  Whichever representation a consumer asks for —
 :attr:`RefBatch.addrs` and friends for the scalar simulation loop,
-:meth:`RefBatch.columns` for the vectorized kernel and the on-disk
-trace format — is derived lazily from the other and cached, so a batch
+:meth:`RefBatch.columns` for array consumers and the on-disk trace
+format — is derived lazily from the other and cached, so a batch
 that never crosses worlds never pays a conversion.
 """
 
@@ -354,34 +354,3 @@ def single(addr: int, *, write: bool, instrs: int, cls: DataClass) -> RefBatch:
     """Convenience constructor for a one-reference batch."""
     return RefBatch([addr], [write], [instrs], [int(cls)])
 
-
-def coalesce(batches: Sequence[RefBatch], target_refs: int = 256) -> List[RefBatch]:
-    """Merge consecutive batches until each chunk holds >= ``target_refs``
-    references (the final chunk may be smaller).
-
-    Larger chunks amortize the per-batch dispatch overhead of
-    ``MemorySystem.access_batch`` (and give the vectorized kernel long
-    enough runs to pay for its pre-pass).  **This changes scheduling
-    granularity**: the OS model delivers one batch per kernel event and
-    checks preemption between batches, so coalescing is only valid on
-    paths with no scheduler in the loop — single-CPU trace replay,
-    synthetic-trace-driven microbenchmarks, and the differential fuzzer's
-    ``drive_trace``.  The multiprocess executors keep their natural
-    per-page emission so golden metrics are untouched.
-    """
-    out: List[RefBatch] = []
-    addrs: List[int] = []
-    writes: List[bool] = []
-    instrs: List[int] = []
-    classes: List[int] = []
-    for b in batches:
-        addrs.extend(b.addrs)
-        writes.extend(b.writes)
-        instrs.extend(b.instrs)
-        classes.extend(b.classes)
-        if len(addrs) >= target_refs:
-            out.append(RefBatch.take(addrs, writes, instrs, classes))
-            addrs, writes, instrs, classes = [], [], [], []
-    if addrs:
-        out.append(RefBatch.take(addrs, writes, instrs, classes))
-    return out

@@ -18,8 +18,7 @@ choices, instruction counts, slots and write flags as NumPy arrays,
 expands the read-modify-write pairs with ``np.repeat``, and freezes the
 result via :meth:`RefBatch.from_columns` — no per-reference Python list
 append.  Generation used to dominate small-budget fuzz campaigns and
-benchmark setup; columnar batches also enter the simulator in exactly
-the form the vectorized kernel wants.
+benchmark setup.
 """
 
 from __future__ import annotations

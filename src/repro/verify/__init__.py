@@ -105,11 +105,11 @@ class VerifyReport:
 
 def _run_smoke() -> Tuple[bool, str]:
     """Run the smoke cells with the array-verification checker on the
-    deferred observation channel — the batched engine (columnar kernel
-    included) stays active, so this checks the exact configuration the
-    experiments run, at a ~1.4× overhead instead of the per-transition
-    checker's ~5× (``BENCH_verify_overhead.json``).  The fuzzer still
-    exercises the per-transition checker on its observed leg."""
+    deferred observation channel — the batched engine stays active, so
+    this checks the exact configuration the experiments run, at a ~1.4×
+    overhead instead of the per-transition checker's ~5×
+    (``BENCH_verify_overhead.json``).  The fuzzer still exercises the
+    per-transition checker on its ``slow/checked`` leg."""
     # Imported here so ``repro.verify`` stays importable without the
     # full experiment stack loaded at module import time.
     from ..core.experiment import DatabaseCache

@@ -2,17 +2,18 @@
 
 Every round draws a random :class:`~repro.trace.synthetic.SyntheticSpec`
 (seeded — the whole campaign is a pure function of its seed), generates
-a synthetic sharing trace, and drives the *same* trace through six
+a synthetic sharing trace, and drives the *same* trace through five
 legs of the simulator:
 
-1. the reference per-reference slow loop,
-2. the batched fast path (scalar engine + columnar NumPy kernel),
-3. the slow loop with the invariant checker attached,
-4. the fast path with the invariant checker attached,
-5. the fast path with the *batched* array-verification checker on the
-   deferred observation channel,
-6. the fast path fed through the trace-store codec (flatten to delta-
-   encoded arrays, decode back) — the persistence layer must be
+1. the per-reference specification (``fast_path=False``),
+2. the batched engine,
+3. the specification with the exact invariant checker attached (an
+   exact sink routes batches through the specification whatever
+   ``fast_path`` says, so there is no separate batched + exact leg),
+4. the batched engine with the *batched* array-verification checker on
+   the deferred observation channel,
+5. the batched engine fed through the trace-store codec (flatten to
+   delta-encoded arrays, decode back) — the persistence layer must be
    bitwise transparent.
 
 All legs must produce identical *fingerprints* — every counter of every
@@ -122,9 +123,11 @@ def drive_trace(
     """Round-robin the per-CPU batch streams through ``memsys`` and
     return each CPU's final clock.
 
-    The cost model mirrors :meth:`Processor.run_batch` exactly — same
-    float additions in the same order, clock truncated once per batch —
-    so the fast and slow legs are comparable bit for bit.
+    Mirrors :meth:`Processor.run_batch`: every batch goes to
+    ``memsys.access_batch`` (the batched engine, or the per-reference
+    specification on a ``fast_path=False`` or exactly-observed memory
+    system) and the clock is truncated once per batch, so the legs are
+    comparable bit for bit.
     """
     n_cpus = len(trace)
     clocks = [0] * n_cpus
@@ -135,17 +138,7 @@ def drive_trace(
                 continue
             batch = trace[cpu][i]
             now = clocks[cpu]
-            if memsys.fast_path:
-                cycles = memsys.access_batch(cpu, batch, now, base_cpi)
-            else:
-                access = memsys.access
-                cycles = 0.0
-                t = now
-                for addr, is_write, instrs, cls in batch:
-                    cost = instrs * base_cpi
-                    cost += access(cpu, addr, is_write, cls, int(t + cost))
-                    cycles += cost
-                    t += cost
+            cycles = memsys.access_batch(cpu, batch, now, base_cpi)
             clocks[cpu] = now + int(cycles)
     return clocks
 
@@ -199,7 +192,7 @@ def _first_diff(a: Dict, b: Dict) -> str:
 
 @dataclass
 class _RoundOutcome:
-    """What running one trace four ways produced."""
+    """What running one trace through every leg produced."""
 
     kind: Optional[str] = None  # None = all legs agree, no violation
     detail: str = ""
@@ -213,28 +206,27 @@ def _run_round(
     aspace,
     memsys_factory: Callable[..., MemorySystem],
 ) -> _RoundOutcome:
-    """Drive one trace through all six legs; compare fingerprints."""
+    """Drive one trace through all five legs; compare fingerprints."""
     machine = platform(plat, n_cpus=spec.n_cpus).scaled(FUZZ_SCALE_LOG2)
     out = _RoundOutcome()
     prints: List[Tuple[str, Dict]] = []
-    for fast in (False, True):
-        for check in (False, True):
-            leg = f"{'fast' if fast else 'slow'}/{'checked' if check else 'plain'}"
-            ms = memsys_factory(machine, aspace, fast_path=fast)
-            try:
-                if check:
-                    with checking(ms, full_every=16) as chk:
-                        clocks = drive_trace(ms, trace, machine.base_cpi)
-                        chk.check_all(at_rest=True)
-                    out.transitions += chk.n_transitions
-                else:
-                    clocks = drive_trace(ms, trace, machine.base_cpi)
-            except InvariantViolation as exc:
-                out.kind = "invariant"
-                out.detail = f"leg {leg}: {exc}"
-                return out
-            prints.append((leg, fingerprint(ms, clocks, spec.n_cpus)))
-    # Fifth leg: the deferred-channel batched checker must also be
+    for leg, fast in (("slow/plain", False), ("fast/plain", True)):
+        ms = memsys_factory(machine, aspace, fast_path=fast)
+        clocks = drive_trace(ms, trace, machine.base_cpi)
+        prints.append((leg, fingerprint(ms, clocks, spec.n_cpus)))
+    # Third leg: the exact checker must be observation-only.
+    ms = memsys_factory(machine, aspace, fast_path=False)
+    try:
+        with checking(ms, full_every=16) as chk:
+            clocks = drive_trace(ms, trace, machine.base_cpi)
+            chk.check_all(at_rest=True)
+        out.transitions += chk.n_transitions
+    except InvariantViolation as exc:
+        out.kind = "invariant"
+        out.detail = f"leg slow/checked: {exc}"
+        return out
+    prints.append(("slow/checked", fingerprint(ms, clocks, spec.n_cpus)))
+    # Fourth leg: the deferred-channel batched checker must also be
     # observation-only, and its array sweeps must agree with the scalar
     # checker about the trace being clean.
     ms = memsys_factory(machine, aspace, fast_path=True)
@@ -247,7 +239,7 @@ def _run_round(
         out.detail = f"leg fast/batched-checked: {exc}"
         return out
     prints.append(("fast/batched-checked", fingerprint(ms, clocks, spec.n_cpus)))
-    # Sixth leg: round-trip every CPU's batch stream through the
+    # Fifth leg: round-trip every CPU's batch stream through the
     # trace-store codec (flatten → delta-encode → decode) exactly as
     # ``TraceStore`` persists workload tapes, then drive the decoded
     # refs through the fast path.  The codec must be invisible.

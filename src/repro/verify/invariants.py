@@ -26,9 +26,12 @@ directory protocol can never violate:
 
 Checks fire *between* transitions, never inside one, so transient
 mid-transaction states cause no false positives.  Attachment works by
-the bus's method shadowing, so a memory system with no sinks pays
-nothing — the hot path runs the exact unhooked bytecode (asserted by
-the overhead benchmark and the structural tests).
+the bus's method shadowing — while a sink is attached every batch runs
+through the per-reference :meth:`MemorySystem.access_each`, so a
+violation surfaces at the exact reference that caused it — and a
+memory system with no sinks pays nothing: the hot path runs the exact
+unhooked bytecode (asserted by the overhead benchmark and the
+structural tests).
 """
 
 from __future__ import annotations
@@ -292,9 +295,11 @@ class BatchedInvariantChecker:
     callback plus a scalar line walk per coherence transaction — a
     >5× slowdown on miss-heavy streams.  This checker instead rides the
     memory system's *deferred* observation hook
-    (:meth:`MemorySystem.attach_deferred_sink`): the fast batched
-    engines log one address per completed transaction and hand the log
-    over at batch boundaries, and every ``check_every`` transactions
+    (:meth:`MemorySystem.attach_deferred_sink`): the memory system
+    logs one address per completed transaction and hands the log over
+    at batch boundaries (the batched engine keeps running; a
+    ``fast_path=False`` memory system drains the same log from its
+    per-reference loop), and every ``check_every`` transactions
     this checker verifies the **whole system at once** with NumPy array
     passes over struct-of-arrays snapshots of the caches
     (:meth:`SetAssocCache.soa_view`) and the directory:

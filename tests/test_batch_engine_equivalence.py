@@ -1,12 +1,15 @@
-"""Hierarchy-wide batched engine vs the per-reference slow path.
+"""The batched engine vs the per-reference specification.
 
 ``MemorySystem.access_batch`` resolves clean L2 hits, silent E->M
 upgrades, and same-line spatial runs inline — branches the TPC-H
 workloads exercise only incidentally.  This suite drives synthetic
 mixes built specifically to hammer those branches (the ``w_l2_reuse``
-and ``w_upgrade`` knobs of :class:`SyntheticSpec`) through the fast
-and slow paths and requires bitwise-identical fingerprints: every
-counter, both cache levels' contents, the directory, and the clocks.
+and ``w_upgrade`` knobs of :class:`SyntheticSpec`) through the engine
+and through ``access`` and requires bitwise-identical fingerprints:
+every counter, every cache level's contents, the directory, and the
+clocks.  The two paper machines take the engine's inline miss lanes;
+the two modern ones (three levels, prefetcher, islands) its
+``general_miss`` branch.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ from repro.trace.classify import DataClass
 from repro.trace.stream import RefBatch
 from repro.trace.synthetic import SyntheticSpec, build_address_space, generate
 from repro.verify.fuzz import FUZZ_SCALE_LOG2, drive_trace, fingerprint
+from repro.verify.invariants import InvariantChecker
+
+PLATS = ["hpv", "sgi", "islands-2x8", "flat-smp-16"]
 
 #: Pool of 40 coherence lines: overflows the scaled L1 (2 lines) while
 #: fitting the scaled sgi L2 (64 lines), so revisits are clean L2 hits.
@@ -28,22 +34,27 @@ L2_HEAVY = dict(w_l2_reuse=60, n_l2_pool_lines=40, n_batches=16)
 UPGRADE_HEAVY = dict(w_upgrade=50, n_batches=16)
 
 
-def run_both(plat: str, spec: SyntheticSpec):
-    """Fast and slow fingerprints (plus the fast memsys) for one mix."""
-    aspace, trace = generate(spec)
-    machine = platform(plat, n_cpus=spec.n_cpus).scaled(FUZZ_SCALE_LOG2)
+def drive_both(plat, aspace, trace, n_cpus):
+    """Specification and engine fingerprints (plus the engine's
+    memsys) for one trace."""
+    # at least 2 CPUs: islands-2x8 needs one per socket (a CPU the
+    # trace never drives changes nothing)
+    machine = platform(plat, n_cpus=max(n_cpus, 2)).scaled(FUZZ_SCALE_LOG2)
     prints = {}
-    fast_ms = None
     for fast in (False, True):
         ms = MemorySystem(machine, aspace, fast_path=fast)
         clocks = drive_trace(ms, trace, machine.base_cpi)
-        prints[fast] = fingerprint(ms, clocks, spec.n_cpus)
-        if fast:
-            fast_ms = ms
-    return prints[False], prints[True], fast_ms
+        prints[fast] = fingerprint(ms, clocks, n_cpus)
+    return prints[False], prints[True], ms
 
 
-@pytest.mark.parametrize("plat", ["hpv", "sgi"])
+def run_both(plat: str, spec: SyntheticSpec):
+    """Fast and slow fingerprints (plus the fast memsys) for one mix."""
+    aspace, trace = generate(spec)
+    return drive_both(plat, aspace, trace, spec.n_cpus)
+
+
+@pytest.mark.parametrize("plat", PLATS)
 @pytest.mark.parametrize("seed", [7, 1013])
 def test_l2_heavy_mix_bitwise_equal(plat, seed):
     spec = SyntheticSpec(seed=seed, n_cpus=3, **L2_HEAVY)
@@ -51,7 +62,7 @@ def test_l2_heavy_mix_bitwise_equal(plat, seed):
     assert slow == fast
 
 
-@pytest.mark.parametrize("plat", ["hpv", "sgi"])
+@pytest.mark.parametrize("plat", PLATS)
 @pytest.mark.parametrize("seed", [11, 2711])
 def test_upgrade_heavy_mix_bitwise_equal(plat, seed):
     spec = SyntheticSpec(seed=seed, n_cpus=3, **UPGRADE_HEAVY)
@@ -59,7 +70,7 @@ def test_upgrade_heavy_mix_bitwise_equal(plat, seed):
     assert slow == fast
 
 
-@pytest.mark.parametrize("plat", ["hpv", "sgi"])
+@pytest.mark.parametrize("plat", PLATS)
 def test_combined_mix_bitwise_equal(plat):
     spec = SyntheticSpec(
         seed=42, n_cpus=4, w_l2_reuse=30, w_upgrade=25,
@@ -144,27 +155,11 @@ def _batch(addrs, writes=None, instrs=None, cls=DataClass.PRIVATE):
 
 
 def _run_engines(plat, aspace, trace, n_cpus):
-    """Fingerprints from all three engines over the same trace.
-
-    ``vector`` is forced with pathological kernel parameters — every
-    batch vectorized, one-reference prefixes retired in bulk — because
-    the equivalence claim is parameter-independent: window and prefix
-    thresholds may only move work between lanes, never change results.
-    """
-    machine = platform(plat, n_cpus=n_cpus).scaled(FUZZ_SCALE_LOG2)
-    out = {}
-    for mode in ("perref", "scalar", "vector"):
-        ms = MemorySystem(machine, aspace, fast_path=(mode != "perref"))
-        if mode == "scalar":
-            ms.VECTOR_MIN_REFS = 1 << 60
-        elif mode == "vector":
-            ms.VECTOR_MIN_REFS = 1
-            ms.VECTOR_MIN_PREFIX = 1
-        clocks = drive_trace(ms, trace, machine.base_cpi)
-        out[mode] = (fingerprint(ms, clocks, n_cpus), ms)
-    prints = {m: fp for m, (fp, _) in out.items()}
-    assert prints["perref"] == prints["scalar"] == prints["vector"]
-    return out["vector"][1]
+    """Drive ``trace`` through the specification and the batched
+    engine, require equal fingerprints, return the engine's memsys."""
+    slow, fast, ms = drive_both(plat, aspace, trace, n_cpus)
+    assert slow == fast
+    return ms
 
 
 def _pool(n_lines, line_size=128):
@@ -176,20 +171,20 @@ def _pool(n_lines, line_size=128):
 
 
 class TestAdversarialBatches:
-    """Handcrafted worst-case batches for the columnar kernel: shapes
-    where the vectorized pre-pass degenerates (every reference slow,
-    no reference slow, prefixes of length one) and where the arithmetic
-    is most exposed (int64 edge addresses, float cost accumulation).
-    Every test drives all three engines and requires bitwise-equal
-    fingerprints; the branch-count asserts then pin that each batch
-    really exercised the branch it was built for.
+    """Handcrafted worst-case batches: shapes at the extremes of the
+    engine's lanes (every reference a miss, no reference a miss, an
+    upgrade on every other reference) and where the arithmetic is most
+    exposed (int64 edge addresses, float cost accumulation).  Every
+    test drives the specification and the engine and requires
+    bitwise-equal fingerprints; the branch-count asserts then pin that
+    each batch really exercised the branch it was built for.
     """
 
-    @pytest.mark.parametrize("plat", ["hpv", "sgi"])
+    @pytest.mark.parametrize("plat", PLATS)
     def test_all_miss_batch(self, plat):
         # 256 distinct coherence lines, revisited once: on the scaled
-        # machines this churns every set, so the vector pre-pass never
-        # finds a fast prefix and the inline miss lane does all work.
+        # machines this churns every set, so the miss lane does all
+        # the work.
         aspace, lines = _pool(256)
         addrs = lines + lines
         writes = [False] * 256 + [True] * 256
@@ -199,11 +194,10 @@ class TestAdversarialBatches:
         assert st.reads == 256 and st.writes == 256
         assert st.level1_misses == 512  # nothing survives the churn
 
-    @pytest.mark.parametrize("plat", ["hpv", "sgi"])
+    @pytest.mark.parametrize("plat", PLATS)
     def test_all_spatial_run_batch(self, plat):
-        # One line touched 300 times in a row: the scalar engine's
-        # same-line shortcut and the vector kernel's single-line
-        # windows must agree on 1 miss + 299 hits.
+        # One line touched 300 times in a row: the engine's same-line
+        # shortcut must agree with 300 probes on 1 miss + 299 hits.
         aspace, lines = _pool(1)
         trace = [[_batch([lines[0]] * 300)]]
         ms = _run_engines(plat, aspace, trace, 1)
@@ -211,12 +205,11 @@ class TestAdversarialBatches:
         assert st.reads == 300
         assert st.level1_misses == 1
 
-    @pytest.mark.parametrize("plat", ["hpv", "sgi"])
+    @pytest.mark.parametrize("plat", PLATS)
     def test_alternating_shared_write_batch(self, plat):
         # Both CPUs read 4 lines into SHARED, then CPU0 alternates
-        # write/read over them: every write is an ownership upgrade —
-        # the branch the vector pre-pass must flag slow (a SHARED
-        # write) on every other reference, capping prefixes at one.
+        # write/read over them: every write is an ownership upgrade,
+        # which ends the engine's spatial run on every other reference.
         aspace, lines = _pool(4)
         warm = _batch(lines * 2)
         alt_addrs = [lines[k % 4] for k in range(64)]
@@ -230,7 +223,7 @@ class TestAdversarialBatches:
         assert st.upgrades > 0
         assert st.silent_upgrades == 0  # never EXCLUSIVE, always SHARED
 
-    @pytest.mark.parametrize("plat", ["hpv", "sgi"])
+    @pytest.mark.parametrize("plat", PLATS)
     @pytest.mark.parametrize("length", [0, 1])
     def test_degenerate_lengths(self, plat, length):
         aspace, lines = _pool(1)
@@ -250,7 +243,7 @@ class TestAdversarialBatches:
         st = ms.stats[0]
         assert st.reads == 64 and st.writes == 64
 
-    @pytest.mark.parametrize("plat", ["hpv", "sgi"])
+    @pytest.mark.parametrize("plat", PLATS)
     def test_float_accumulation_bitwise(self, plat):
         # 4096 hits with varying instruction costs, compared as raw
         # float returns from access_batch — per-batch clock truncation
@@ -260,12 +253,44 @@ class TestAdversarialBatches:
         addrs = [lines[k % 2] for k in range(4096)]
         instrs = rng.integers(1, 8, size=4096)
         batch = _batch(addrs, None, instrs)
-        machine = platform(plat, n_cpus=1).scaled(FUZZ_SCALE_LOG2)
+        machine = platform(plat, n_cpus=2).scaled(FUZZ_SCALE_LOG2)
         cycles = {}
-        for mode in ("scalar", "vector"):
-            ms = MemorySystem(machine, aspace, fast_path=True)
-            if mode == "scalar":
-                ms.VECTOR_MIN_REFS = 1 << 60
+        for fast in (False, True):
+            ms = MemorySystem(machine, aspace, fast_path=fast)
             ms.access_batch(0, _batch(lines), 0, machine.base_cpi)  # warm
-            cycles[mode] = ms.access_batch(0, batch, 1000, machine.base_cpi)
-        assert cycles["scalar"] == cycles["vector"]
+            cycles[fast] = ms.access_batch(0, batch, 1000, machine.base_cpi)
+        assert cycles[False] == cycles[True]
+
+
+@pytest.mark.parametrize("plat", PLATS)
+def test_detached_memsys_resumes_the_batched_engine(plat):
+    """An exact sink routes batches through the specification; once it
+    detaches the engine runs again, and the hand-overs in both
+    directions leave no trace in the results."""
+    spec = SyntheticSpec(
+        seed=42, n_cpus=4, w_l2_reuse=30, w_upgrade=25,
+        n_l2_pool_lines=40, n_batches=12, p_write=0.5,
+    )
+    aspace, trace = generate(spec)
+    machine = platform(plat, n_cpus=spec.n_cpus).scaled(FUZZ_SCALE_LOG2)
+    whole = MemorySystem(machine, aspace)
+    expected = fingerprint(
+        whole, drive_trace(whole, trace, machine.base_cpi), spec.n_cpus
+    )
+    ms = MemorySystem(machine, aspace)
+    engine = ms.access_batch
+    chk = InvariantChecker(ms)
+    clocks = [0] * spec.n_cpus
+    for i in range(spec.n_batches):
+        if i == 3:
+            ms.attach_sink(chk)
+            assert ms.access_batch == ms.access_each
+        elif i == 8:
+            ms.detach_sink(chk)
+            assert ms.access_batch == engine
+        for cpu in range(spec.n_cpus):
+            clocks[cpu] += int(
+                ms.access_batch(cpu, trace[cpu][i], clocks[cpu], machine.base_cpi)
+            )
+    assert chk.n_transitions > 0
+    assert fingerprint(ms, clocks, spec.n_cpus) == expected

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import TraceError
 from repro.trace.classify import DataClass
-from repro.trace.stream import RefBatch, RefBuilder, coalesce, single
+from repro.trace.stream import RefBatch, RefBuilder, single
 
 
 class TestRefBatch:
@@ -74,7 +74,7 @@ class TestRefBuilder:
 
 
 class TestTakeAndCoalesce:
-    """The no-copy constructor and the opt-in chunk merger."""
+    """The no-copy constructor and the builder's ownership hand-off."""
 
     def test_take_matches_init(self):
         a = RefBatch([1, 2], [True, False], [3, 4], [0, 1])
@@ -96,20 +96,3 @@ class TestTakeAndCoalesce:
             a.add(addr, True, 7, DataClass.INDEX)
         b.add_many([10, 20, 30], True, 7, DataClass.INDEX)
         assert list(a.build()) == list(b.build())
-
-    def test_coalesce_preserves_refs_in_order(self):
-        batches = [
-            single(i, write=bool(i % 2), instrs=i + 1, cls=DataClass.RECORD)
-            for i in range(10)
-        ]
-        merged = coalesce(batches, target_refs=4)
-        assert [len(b) for b in merged] == [4, 4, 2]
-        flat = [r for b in merged for r in b]
-        orig = [r for b in batches for r in b]
-        assert flat == orig
-        assert sum(b.total_instrs for b in merged) == sum(
-            b.total_instrs for b in batches
-        )
-
-    def test_coalesce_empty(self):
-        assert coalesce([], target_refs=8) == []

@@ -15,6 +15,7 @@ from repro.verify.invariants import (
     InvariantChecker,
     InvariantViolation,
     attach,
+    attach_batched,
     checking,
     checking_batched,
 )
@@ -177,11 +178,32 @@ class TestBatchedChecker:
         assert chk.n_transitions > 0
         assert chk.n_sweeps >= 1
 
+    @pytest.mark.parametrize("fast", [False, True], ids=["slow", "fast"])
+    def test_log_drained_at_every_batch_boundary(self, fast):
+        """The per-reference path drains the deferred log per batch
+        like the engine does, so the sweeps happen during the run —
+        not only in ``close()`` — and the log cannot grow unbounded."""
+        ms, machine, trace = build("hpv", fast_path=fast)
+        with checking_batched(ms, check_every=32) as chk:
+            drive_trace(ms, trace, machine.base_cpi)
+            assert chk.n_transitions > 0
+            assert chk.n_sweeps >= 2
+            assert not ms._txlog
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["slow", "fast"])
+    def test_skipped_invalidation_caught_mid_run(self, fast):
+        ms, machine, trace = build(
+            "hpv", SkippedInvalidationMemSys, fast_path=fast
+        )
+        attach_batched(ms, check_every=32)
+        with pytest.raises(InvariantViolation, match="writable"):
+            drive_trace(ms, trace, machine.base_cpi)  # not close()
+
     @pytest.mark.parametrize("plat", ["hpv", "sgi"])
     def test_deferred_sink_keeps_kernel_unshadowed(self, plat):
-        """The whole point of the deferred channel: the batched engine
-        (access_batch included) must stay the plain class method, so
-        the columnar kernel remains active while checking."""
+        """The whole point of the deferred channel: ``access_batch``
+        must stay the plain class method, so the batched engine
+        remains active while checking."""
         ms, _, _ = build(plat)
         with checking_batched(ms):
             assert "access_batch" not in ms.__dict__
