@@ -605,9 +605,9 @@ def cmd_submit(args) -> int:
     """``repro submit``: send one sweep spec to a running daemon.
 
     Prints the job id (or the full ``job`` envelope with ``--json``).
-    ``--wait`` polls until the job finishes; ``--follow`` streams the
-    job's sweep events as they happen.  A rejected spec exits 2 with
-    the daemon's typed error.
+    ``--wait`` blocks on the job's event stream until it finishes;
+    ``--follow`` also prints the sweep events as they happen.  A
+    rejected spec exits 2 with the daemon's typed error.
     """
     from .core.sweep import NPROC_SWEEP
     from .service.client import ServiceError

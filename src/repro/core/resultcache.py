@@ -24,6 +24,7 @@ import os
 import tempfile
 import warnings
 from dataclasses import asdict
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -75,11 +76,24 @@ def spec_fingerprint(spec: ExperimentSpec) -> str:
     Mixes in the counter-schema version as well as the code hash, so a
     schema edit alone (reordered fields, a new counter) retires every
     persisted counter vector even if no ``.py`` content change slipped
-    past ``code_version`` (e.g. a cache dir shared across checkouts)."""
+    past ``code_version`` (e.g. a cache dir shared across checkouts).
+
+    Computed once per spec: a sweep asks for the same cell's address
+    several times (manifest, lookup, store, fetch) and the
+    ``asdict`` deep copy dominated a warm lookup.  The versions are
+    part of the memo key, so nothing that changes the address can be
+    answered from a stale entry.  Specs that compare equal share one
+    address (``n_procs=1`` and ``n_procs=True`` simulate the same
+    cell)."""
+    return _fingerprint(spec, FORMAT, SCHEMA_VERSION, code_version())
+
+
+@lru_cache(maxsize=4096)
+def _fingerprint(spec: ExperimentSpec, fmt: int, schema: int, code: str) -> str:
     payload = {
-        "format": FORMAT,
-        "schema": SCHEMA_VERSION,
-        "code": code_version(),
+        "format": fmt,
+        "schema": schema,
+        "code": code,
         "spec": asdict(spec),
     }
     blob = json.dumps(payload, sort_keys=True, default=str)

@@ -19,7 +19,7 @@ counter the table doesn't carry.
 
 from __future__ import annotations
 
-from dataclasses import asdict, field, make_dataclass
+from dataclasses import field, make_dataclass
 from typing import Dict
 
 from ..errors import ConfigError
@@ -33,8 +33,15 @@ _scale = _schema.scale_counter
 
 
 def _to_dict(self) -> Dict:
-    """Plain-JSON form (result cache, golden snapshots, reports)."""
-    return asdict(self)
+    """Plain-JSON form (result cache, golden snapshots, reports).
+
+    What ``dataclasses.asdict`` returns, without its recursive deep
+    copy: the schema says every field is an int or a flat dict of
+    ints."""
+    d = {name: getattr(self, name) for name in _FIELD_NAMES}
+    for name in _BY_CLASS:
+        d[name] = dict(d[name])
+    return d
 
 
 def _from_dict(cls, d: Dict) -> "CounterSnapshot":

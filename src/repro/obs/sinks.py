@@ -200,16 +200,19 @@ class SweepEventJournal:
     def __init__(self, path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.n_events = 0
-        # Continue the sequence after a restart: the journal is the
-        # stream, so a resumed job appends instead of restarting at 0.
-        try:
-            with self.path.open("r") as fh:
-                for line in fh:
-                    if line.strip():
-                        self.n_events += 1
-        except OSError:
-            pass
+        # One append handle for the life of the sweep.  A journal that
+        # already has records (a job resumed after a restart) continues
+        # their sequence — the journal is the stream — after dropping
+        # the torn line a killed writer may have left at the end, so a
+        # new record never lands on the same line as half an old one.
+        self._fh = self.path.open("a+b")
+        self._fh.seek(0)
+        head = self._fh.read()
+        self.n_events = head.count(b"\n")
+        self._fh.truncate(head.rfind(b"\n") + 1)
+
+    def close(self) -> None:
+        self._fh.close()
 
     def _record(self, event: str, *args) -> None:
         names = self._SIGNATURES[event]
@@ -219,9 +222,8 @@ class SweepEventJournal:
                 value = ":".join(str(part) for part in value)
             payload[name] = value
         record = {"seq": self.n_events, "event": event, "args": payload}
-        with self.path.open("a") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-            fh.flush()
+        self._fh.write(json.dumps(record, sort_keys=True).encode() + b"\n")
+        self._fh.flush()
         self.n_events += 1
 
     # -- sweep sink protocol: one forwarder per event -----------------------
@@ -253,23 +255,34 @@ class SweepEventJournal:
         self._record("on_cell_requeue", key, host, reason)
 
     @staticmethod
-    def read(path) -> List[dict]:
-        """Parse a journal back into records (tolerates a torn final
-        line — the daemon may have died mid-append)."""
+    def read_from(path, offset: int = 0) -> Tuple[List[dict], int]:
+        """The complete records at or after byte ``offset``, and the
+        offset to resume from — how a follower tails a journal without
+        parsing what it has already seen.  A torn final line (the
+        writer was killed mid-append) is not a record yet: parsing
+        stops in front of it."""
         records: List[dict] = []
         try:
-            text = Path(path).read_text()
+            with Path(path).open("rb") as fh:
+                fh.seek(offset)
+                data = fh.read()
         except OSError:
-            return records
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
+            return records, offset
+        for line in data.splitlines(keepends=True):
+            if not line.endswith(b"\n"):
+                break
             try:
                 records.append(json.loads(line))
             except ValueError:
                 break  # torn tail: everything before it is good
-        return records
+            offset += len(line)
+        return records, offset
+
+    @staticmethod
+    def read(path) -> List[dict]:
+        """Parse a whole journal back into records (tolerates a torn
+        final line — the daemon may have died mid-append)."""
+        return SweepEventJournal.read_from(path)[0]
 
 
 class ChromeTraceExporter:

@@ -15,6 +15,7 @@ or subprocess daemon.
 from __future__ import annotations
 
 import json
+import socket
 import time
 from http.client import HTTPConnection
 from typing import Dict, Iterator, Optional
@@ -122,25 +123,31 @@ class SweepClient:
         """
         return self._request("GET", f"/v1/sweeps/{job_id}/results")
 
-    def wait(self, job_id: str, timeout: float = 300.0,
-             poll_s: float = 0.1) -> dict:
-        """Poll :meth:`status` until the job reaches a terminal state.
+    def wait(self, job_id: str, timeout: float = 300.0) -> dict:
+        """Block until the job reaches a terminal state.
 
-        Returns the final ``job`` envelope; raises :class:`ServiceError`
-        (``not-ready``) if ``timeout`` elapses first.
+        Rides the job's event stream to its ``end`` event — the daemon
+        pushes it the moment the job finishes, nothing is polled — and
+        returns the final ``job`` envelope; raises
+        :class:`ServiceError` (``not-ready``) if ``timeout`` elapses
+        first.
         """
-        deadline = time.monotonic() + timeout
-        while True:
-            envelope = self.status(job_id)
-            if envelope["data"]["state"] in ("done", "failed"):
-                return envelope
-            if time.monotonic() >= deadline:
-                raise ServiceError(
-                    "not-ready",
-                    f"job {job_id} still {envelope['data']['state']} "
-                    f"after {timeout:.0f}s", 409,
-                )
-            time.sleep(poll_s)
+        try:
+            for record in self._stream(job_id, time.monotonic() + timeout):
+                if record["event"] == "end":
+                    return validate_envelope(record["data"], kind="job")
+        except socket.timeout:
+            pass
+        # out of time, or the stream closed early (daemon shutting
+        # down): the job's own record has the last word
+        envelope = self.status(job_id)
+        if envelope["data"]["state"] in ("done", "failed"):
+            return envelope
+        raise ServiceError(
+            "not-ready",
+            f"job {job_id} still {envelope['data']['state']} "
+            f"after {timeout:.0f}s", 409,
+        )
 
     def events(self, job_id: str) -> Iterator[dict]:
         """``GET /v1/sweeps/{id}/events`` as an iterator of SSE records.
@@ -149,6 +156,12 @@ class SweepClient:
         server-sent event, ending after the server's ``end`` event
         (which carries the final ``job`` envelope).
         """
+        return self._stream(job_id, None)
+
+    def _stream(self, job_id: str, deadline: Optional[float]) -> Iterator[dict]:
+        """The SSE stream; with a ``deadline`` (monotonic seconds) a
+        read that would outlast it raises ``socket.timeout`` instead
+        of the per-read ``self.timeout`` applying."""
         conn = self._connect()
         try:
             conn.request(
@@ -156,6 +169,9 @@ class SweepClient:
                 headers={"X-Repro-Tenant": self.tenant,
                          "Accept": "text/event-stream"},
             )
+            # a ``Connection: close`` reply hands the socket over to the
+            # response, so keep our own reference for the deadline
+            sock = conn.sock
             resp = conn.getresponse()
             if resp.getheader("Content-Type", "").startswith("application/json"):
                 envelope = validate_envelope(resp.read().decode("utf-8"))
@@ -167,6 +183,8 @@ class SweepClient:
             event_name = "message"
             data_lines = []
             while True:
+                if deadline is not None:
+                    sock.settimeout(max(deadline - time.monotonic(), 1e-3))
                 line = resp.fp.readline()
                 if not line:
                     return  # connection closed

@@ -54,16 +54,23 @@ Design decisions, in terms of the layers underneath:
   dispatch/heartbeat/retry/requeue/host-loss are visible to clients in
   order, and the stream survives a daemon restart (the journal file is
   the stream).
+* **Nothing polls.**  The idle worker, every SSE follower and shutdown
+  block on one condition, :attr:`JobQueue.changed
+  <repro.service.jobs.JobQueue.changed>`, which every job state change
+  and every journal append notifies under the queue lock.  A follower
+  that sees a terminal state under that lock has therefore already
+  been handed every event that preceded it, and a warm submission is
+  picked up, journaled and announced as fast as the threads can be
+  scheduled.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import signal
-import socket
-import sys
 import threading
-import time
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -75,6 +82,7 @@ from ..core.parallel import ParallelSweepRunner
 from ..core.resilience import CheckpointManifest, RetryPolicy, key_str
 from ..core.resultcache import ResultCache, result_to_dict, spec_fingerprint
 from ..core.sweep import normalize_cell
+from ..core.wire import MAX_FRAME
 from ..obs.sinks import SweepEventJournal
 from .envelope import (
     dump_envelope,
@@ -84,8 +92,23 @@ from .envelope import (
 )
 from .jobs import Job, JobQueue, JobSpec, QueueFullError, RateLimitedError
 
-#: How often pollers (SSE follow loop, worker idle loop) wake up.
-POLL_S = 0.05
+#: Largest request body ``POST /v1/sweeps`` reads: the bound the wire
+#: protocol already puts on a frame from a peer.
+MAX_BODY = MAX_FRAME
+
+
+class _JobJournal(SweepEventJournal):
+    """A job's event journal that appends under the queue lock and
+    wakes whoever follows the job."""
+
+    def __init__(self, path, changed: threading.Condition) -> None:
+        super().__init__(path)
+        self._changed = changed
+
+    def _record(self, event: str, *args) -> None:
+        with self._changed:
+            super()._record(event, *args)
+            self._changed.notify_all()
 
 
 class ReproService:
@@ -121,7 +144,6 @@ class ReproService:
             rate_per_s=rate_per_s, burst=burst,
         )
         self.started_jobs = 0
-        self._stop = threading.Event()
         self._worker: Optional[threading.Thread] = None
         #: The shared multi-tenant result store.  One instance for
         #: reads; each job's runner opens its own handle on the same
@@ -140,15 +162,17 @@ class ReproService:
         self._worker.start()
 
     def stop(self) -> None:
-        self._stop.set()
+        """Close the queue — the idle worker and every SSE follower
+        wake and leave — and wait for a running job to finish."""
+        self.queue.close()
         if self._worker is not None:
             self._worker.join(timeout=10)
 
     def _work_loop(self) -> None:
-        while not self._stop.is_set():
-            job = self.queue.next_job(timeout=POLL_S)
+        while True:
+            job = self.queue.next_job()
             if job is None:
-                continue
+                return  # closed
             self.run_job(job)
 
     # -- execution ----------------------------------------------------------
@@ -176,14 +200,16 @@ class ReproService:
                 self.cache_dir, keys,
                 [spec_fingerprint(runner._spec(k)) for k in keys],
             )
-            journal = SweepEventJournal(self.journal_path(job.id))
-            report = runner.execute(
-                keys,
-                policy=RetryPolicy(max_attempts=self.retries),
-                timeout_s=self.timeout_s,
-                manifest=manifest,
-                sinks=[journal],
-            )
+            with closing(_JobJournal(
+                self.journal_path(job.id), self.queue.changed
+            )) as journal:
+                report = runner.execute(
+                    keys,
+                    policy=RetryPolicy(max_attempts=self.retries),
+                    timeout_s=self.timeout_s,
+                    manifest=manifest,
+                    sinks=[journal],
+                )
         except Exception as exc:  # a job must never take the daemon down
             self.queue.finish(job, error=repr(exc))
             return
@@ -295,7 +321,9 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_envelope(
         self, status: int, envelope: dict, headers: Optional[dict] = None
     ) -> None:
-        body = (dump_envelope(envelope) + "\n").encode()
+        # compact: same sorted keys as the CLI's indented form, so equal
+        # payloads are still equal bytes, but the C encoder can write it
+        body = (dump_envelope(envelope, indent=None) + "\n").encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -378,8 +406,26 @@ class _Handler(BaseHTTPRequestHandler):
                 else error_envelope("method-not-allowed", f"POST {path}")
             )
             return
+        declared = self.headers.get("Content-Length", "0")
         try:
-            length = int(self.headers.get("Content-Length", "0"))
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY:
+            # nothing of the body is read, so the connection is done
+            if length < 0:
+                env = error_envelope(
+                    "bad-request", f"bad Content-Length {declared!r}"
+                )
+            else:
+                env = error_envelope(
+                    "payload-too-large",
+                    f"body of {length} bytes exceeds the {MAX_BODY}-byte cap",
+                    {"max_bytes": MAX_BODY},
+                )
+            self._send_error_env(env, {"Connection": "close"})
+            return
+        try:
             raw = self.rfile.read(length) if length else b""
             payload = json.loads(raw.decode("utf-8")) if raw else {}
             if not isinstance(payload, dict):
@@ -408,13 +454,16 @@ class _Handler(BaseHTTPRequestHandler):
     def _stream_events(self, job: Job) -> None:
         """Serve the job's event journal as Server-Sent Events.
 
-        Replays the journal from the start, then follows it (and the
-        job state) until the job reaches a terminal state, closing with
-        an ``end`` event that carries the final job document.  Each
-        event is ``event: <sweep event name>`` with a ``sweep-event``
-        envelope as its data line.
+        Replays the journal from the start, then follows it until the
+        job reaches a terminal state, closing with an ``end`` event
+        that carries the final job document.  Each event is ``event:
+        <sweep event name>`` with a ``sweep-event`` envelope as its
+        data line.  Between events the handler sleeps on the queue's
+        condition; the journal is tailed from a byte offset, so a wake
+        parses only what it has not sent yet.
         """
         svc = self.service
+        changed = svc.queue.changed
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-cache")
@@ -423,39 +472,37 @@ class _Handler(BaseHTTPRequestHandler):
         path = svc.journal_path(job.id)
         offset = 0
         while True:
-            records = SweepEventJournal.read(path)
-            for record in records[offset:]:
-                env = make_envelope("sweep-event", {
-                    "job": job.id, **record,
-                })
-                self.wfile.write(
-                    f"event: {record.get('event', 'message')}\n"
-                    f"data: {json.dumps(env, sort_keys=True)}\n\n".encode()
+            # Journal and state are read under the lock appends and
+            # state flips take: a terminal state seen here comes with
+            # every event before it, and no notify falls between the
+            # check and the wait.  The socket is written outside it.
+            with changed:
+                while True:
+                    records, offset = SweepEventJournal.read_from(path, offset)
+                    finished = job.state in ("done", "failed")
+                    closed = svc.queue.closed
+                    if records or finished or closed:
+                        break
+                    changed.wait()
+            frames = [
+                _sse_frame(
+                    record.get("event", "message"),
+                    make_envelope("sweep-event", {"job": job.id, **record}),
                 )
-            offset = len(records)
+                for record in records
+            ]
+            if finished:
+                frames.append(_sse_frame("end", svc.job_envelope(job)))
+            self.wfile.write(b"".join(frames))
             self.wfile.flush()
-            current = svc.queue.get(job.id)
-            state = current.state if current is not None else "done"
-            if state in ("done", "failed"):
-                # one final drain so nothing between the last read and
-                # the state flip is lost
-                records = SweepEventJournal.read(path)
-                for record in records[offset:]:
-                    env = make_envelope("sweep-event", {
-                        "job": job.id, **record,
-                    })
-                    self.wfile.write(
-                        f"event: {record.get('event', 'message')}\n"
-                        f"data: {json.dumps(env, sort_keys=True)}\n\n".encode()
-                    )
-                final = svc.job_envelope(current) if current else {}
-                self.wfile.write(
-                    f"event: end\ndata: {json.dumps(final, sort_keys=True)}\n\n"
-                    .encode()
-                )
-                self.wfile.flush()
+            if finished or closed:
                 return
-            time.sleep(POLL_S)
+
+
+def _sse_frame(event: str, envelope: dict) -> bytes:
+    return (
+        f"event: {event}\ndata: {json.dumps(envelope, sort_keys=True)}\n\n"
+    ).encode()
 
 
 def make_server(service: ReproService, bind: str = "127.0.0.1",
@@ -474,15 +521,18 @@ def serve(
     announce=print,
     ready: Optional[threading.Event] = None,
     install_signals: bool = True,
+    stop: Optional[threading.Event] = None,
     **service_kwargs,
 ) -> int:
-    """Run the daemon until SIGTERM/SIGINT: the ``repro serve`` body.
+    """Run the daemon until told to stop: the ``repro serve`` body.
 
     Recovers journaled jobs, starts the worker thread, binds the HTTP
     server, writes a discovery file (``<data_dir>/service.json`` with
-    the bound url and pid) and serves forever.  Returns the process
-    exit code.
+    the bound url and pid) and serves until ``stop`` is set — by the
+    caller (a daemon run in a thread passes its own event and needs no
+    signals) or by SIGTERM/SIGINT.  Returns the process exit code.
     """
+    stop = stop if stop is not None else threading.Event()
     service = ReproService(data_dir, **service_kwargs)
     recovered = service.recover()
     server = make_server(service, bind, port)
@@ -490,8 +540,6 @@ def serve(
     url = f"http://{host}:{bound_port}"
     discovery = Path(data_dir) / "service.json"
     discovery.parent.mkdir(parents=True, exist_ok=True)
-    import os
-
     discovery.write_text(json.dumps({
         "url": url, "pid": os.getpid(), "bind": bind, "port": bound_port,
     }, sort_keys=True))
@@ -502,21 +550,25 @@ def serve(
             f"{service.queue.jobs_dir}"
         )
     announce(f"repro service listening on {url} (data: {service.data_dir})")
-
-    stopping = threading.Event()
-
-    def shutdown(*_args):
-        if not stopping.is_set():
-            stopping.set()
-            threading.Thread(target=server.shutdown, daemon=True).start()
-
     if install_signals:
-        signal.signal(signal.SIGTERM, shutdown)
-        signal.signal(signal.SIGINT, shutdown)
+        signal.signal(signal.SIGTERM, lambda *_args: stop.set())
+        signal.signal(signal.SIGINT, lambda *_args: stop.set())
+
+    def shutdown_on_stop() -> None:
+        stop.wait()
+        server.shutdown()
+
+    # A thread of its own, because shutdown() blocks until the serving
+    # loop has left and a signal handler runs inside that loop.
+    threading.Thread(
+        target=shutdown_on_stop, name="repro-service-stop", daemon=True
+    ).start()
     if ready is not None:
         ready.set()
     try:
-        server.serve_forever(poll_interval=POLL_S)
+        # poll_interval bounds only how long shutdown() waits; requests
+        # are accepted as they arrive
+        server.serve_forever(poll_interval=0.05)
     finally:
         service.stop()
         server.server_close()

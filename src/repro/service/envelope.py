@@ -75,6 +75,7 @@ ERROR_CODES = {
     "unknown-query": 400,     # ConfigError naming an unknown query
     "not-found": 404,         # no such job / route
     "not-ready": 409,         # results requested before the job finished
+    "payload-too-large": 413,  # request body over the daemon's fixed cap
     "rate-limited": 429,      # per-tenant token bucket empty
     "queue-full": 429,        # backpressure: FIFO queue at capacity
     "method-not-allowed": 405,
@@ -177,6 +178,7 @@ def validate_envelope(obj, kind: Optional[str] = None) -> dict:
 
 
 def dump_envelope(envelope: dict, indent: Optional[int] = 2) -> str:
-    """Canonical serialization (sorted keys) — the one the CLI prints
-    and the daemon sends, so identical payloads are identical bytes."""
+    """Canonical serialization (sorted keys), so identical payloads are
+    identical bytes.  The CLI prints the indented form; the daemon
+    sends ``indent=None``, which the C encoder writes in one pass."""
     return json.dumps(envelope, indent=indent, sort_keys=True)

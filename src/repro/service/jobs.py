@@ -283,6 +283,14 @@ class JobQueue:
     promise also an *execution order* promise (and what lets every job
     reuse the cells of the jobs admitted before it through the shared
     result cache).
+
+    Everything that waits on the daemon waits on :attr:`changed`, one
+    condition on the queue lock: the idle worker (:meth:`next_job`),
+    SSE followers and shutdown (:meth:`close`).  Every state change —
+    admission, ``running``, ``done``/``failed``, and each event a
+    running job journals — happens under the lock and notifies it, so
+    a waiter that re-checks under the lock can neither miss a wake-up
+    nor see a terminal state before the events that preceded it.
     """
 
     def __init__(
@@ -300,7 +308,10 @@ class JobQueue:
         self.burst = burst
         self._clock = clock
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
+        #: Notified on every job state change, journal append and close.
+        self.changed = threading.Condition(self._lock)
+        #: Set by :meth:`close`: the daemon is shutting down.
+        self.closed = False
         self._jobs: Dict[str, Job] = {}
         self._fifo: List[str] = []  # queued job ids, FIFO
         self._buckets: Dict[str, TokenBucket] = {}
@@ -316,7 +327,10 @@ class JobQueue:
 
     def _persist(self, job: Job) -> None:
         """Atomic journal write (unique tmp + rename), same discipline
-        as the result cache and checkpoint manifest."""
+        as the result cache and checkpoint manifest.  Called with the
+        lock held, so the file on disk never runs behind a state a
+        waiter has already seen (and two writers cannot rename out of
+        order)."""
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
         path = self._job_path(job.id)
         fd, tmp = tempfile.mkstemp(
@@ -365,10 +379,8 @@ class JobQueue:
                         job.state = "queued"
                     self._fifo.append(job.id)
                     recovered.append(job)
-            if recovered:
-                self._not_empty.notify_all()
-        for job in recovered:
-            self._persist(job)
+                    self._persist(job)
+            self.changed.notify_all()
         return recovered
 
     # -- admission ----------------------------------------------------------
@@ -397,23 +409,26 @@ class JobQueue:
             self._jobs[job_id] = job
             self._fifo.append(job_id)
             self.admitted += 1
-            self._not_empty.notify_all()
-        self._persist(job)
+            self._persist(job)
+            self.changed.notify_all()
         return job
 
     # -- worker side --------------------------------------------------------
     def next_job(self, timeout: Optional[float] = None) -> Optional[Job]:
-        """Pop the oldest queued job, marking it ``running``; ``None``
-        on timeout."""
+        """Pop the oldest queued job, marking it ``running``.  Blocks
+        until there is one; ``None`` on timeout or once the queue is
+        closed."""
         with self._lock:
-            if not self._fifo:
-                self._not_empty.wait(timeout)
-            if not self._fifo:
+            self.changed.wait_for(
+                lambda: self._fifo or self.closed, timeout
+            )
+            if self.closed or not self._fifo:
                 return None
             job = self._jobs[self._fifo.pop(0)]
             job.state = "running"
             job.attempts += 1
-        self._persist(job)
+            self._persist(job)
+            self.changed.notify_all()
         return job
 
     def finish(
@@ -427,7 +442,15 @@ class JobQueue:
             job.state = "failed" if error is not None else "done"
             job.error = error
             job.report = report
-        self._persist(job)
+            self._persist(job)
+            self.changed.notify_all()
+
+    def close(self) -> None:
+        """Wake every waiter for shutdown: :meth:`next_job` returns
+        ``None`` from now on and followers stop following."""
+        with self._lock:
+            self.closed = True
+            self.changed.notify_all()
 
     # -- readers ------------------------------------------------------------
     def get(self, job_id: str) -> Optional[Job]:

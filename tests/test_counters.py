@@ -65,6 +65,19 @@ class TestSnapshot:
             assert abs(got - value / 3) <= 0.5
 
 
+    def test_to_dict_is_asdict_without_sharing(self):
+        import dataclasses
+
+        a = snap()
+        a.level1_by_class = {"record": 5, "index": 2}
+        d = a.to_dict()
+        assert d == dataclasses.asdict(a)
+        assert list(d) == list(dataclasses.asdict(a))  # field order too
+        d["level1_by_class"]["record"] = 0
+        assert a.level1_by_class["record"] == 5  # a copy, like asdict's
+        assert CounterSnapshot.from_dict(a.to_dict()) == a
+
+
 class TestPA8200:
     def test_named_events(self):
         c = PA8200Counters(snap(), instr_skew=1.0)

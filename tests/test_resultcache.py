@@ -14,7 +14,14 @@ from tests.conftest import TINY_TPCH
 from tests.test_parallel_sweep import result_key
 
 from repro.config import TEST_SIM
-from repro.core.resultcache import FORMAT, ResultCache, ResultCacheWarning
+from repro.core import resultcache
+from repro.core.experiment import ExperimentSpec
+from repro.core.resultcache import (
+    FORMAT,
+    ResultCache,
+    ResultCacheWarning,
+    spec_fingerprint,
+)
 from repro.core.sweep import SweepRunner
 
 CELL = ("Q6", "hpv", 1)
@@ -105,6 +112,57 @@ class TestStaleEntries:
         with pytest.warns(ResultCacheWarning):
             cache, _ = reread(tmp_path)
         assert "1 corrupt" in cache.describe()
+
+
+class TestFingerprintMemo:
+    SPEC = ExperimentSpec(query="Q6", platform="hpv", n_procs=1,
+                          tpch=TINY_TPCH, sim=TEST_SIM)
+
+    def test_computed_once_per_spec(self, monkeypatch):
+        calls = []
+        real = resultcache.asdict
+        monkeypatch.setattr(
+            resultcache, "asdict", lambda s: calls.append(s) or real(s)
+        )
+        resultcache._fingerprint.cache_clear()
+        first = spec_fingerprint(self.SPEC)
+        equal_spec = ExperimentSpec(query="Q6", platform="hpv", n_procs=1,
+                                    tpch=TINY_TPCH, sim=TEST_SIM)
+        assert spec_fingerprint(equal_spec) == first
+        assert len(calls) == 1
+        other = spec_fingerprint(ExperimentSpec(
+            query="Q6", platform="hpv", n_procs=2, tpch=TINY_TPCH, sim=TEST_SIM,
+        ))
+        assert other != first and len(calls) == 2
+
+    def test_a_version_change_is_never_answered_from_the_memo(
+        self, monkeypatch
+    ):
+        """Everything the address mixes in besides the spec is part of
+        the memo key: a schema or code edit retires the memo with the
+        entries it addressed."""
+        current = spec_fingerprint(self.SPEC)
+        with monkeypatch.context() as m:
+            m.setattr(resultcache, "SCHEMA_VERSION",
+                      resultcache.SCHEMA_VERSION + 1)
+            assert spec_fingerprint(self.SPEC) != current
+        with monkeypatch.context() as m:
+            m.setattr(resultcache, "_code_version", "0" * 16)
+            assert spec_fingerprint(self.SPEC) != current
+        with monkeypatch.context() as m:
+            m.setattr(resultcache, "FORMAT", FORMAT + 1)
+            assert spec_fingerprint(self.SPEC) != current
+        assert spec_fingerprint(self.SPEC) == current
+
+    def test_bounded(self):
+        bound = resultcache._fingerprint.cache_info().maxsize
+        assert bound is not None
+        for n in range(1, bound + 50):
+            spec_fingerprint(ExperimentSpec(
+                query="Q6", platform="hpv", n_procs=n,
+                tpch=TINY_TPCH, sim=TEST_SIM,
+            ))
+        assert resultcache._fingerprint.cache_info().currsize == bound
 
 
 class TestRecovery:

@@ -7,9 +7,11 @@ whole module stays in tier-1 time.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -20,7 +22,14 @@ import pytest
 
 from repro.errors import ConfigError, UnknownPlatformError
 from repro.service.client import ServiceError, SweepClient
-from repro.service.daemon import ReproService, classify_submit_error, make_server
+from repro.obs.sinks import SweepEventJournal
+from repro.service.daemon import (
+    MAX_BODY,
+    ReproService,
+    classify_submit_error,
+    make_server,
+    serve,
+)
 from repro.service.envelope import (
     ENVELOPE_KINDS,
     ERROR_CODES,
@@ -218,31 +227,57 @@ class TestJobQueue:
 # ---------------------------------------------------------------------------
 # the HTTP daemon, in process
 # ---------------------------------------------------------------------------
-@pytest.fixture()
-def service(tmp_path):
-    svc = ReproService(tmp_path / "svc", jobs=None)
-    svc.recover()
+@contextlib.contextmanager
+def running_daemon(data_dir, **service_kwargs):
+    """``serve()`` in a thread, stopped through its stop handle; yields
+    the url from the discovery file, as a client would find it."""
+    stop, ready = threading.Event(), threading.Event()
+    thread = threading.Thread(
+        target=serve, args=(data_dir,),
+        kwargs=dict(announce=lambda _line: None, ready=ready, stop=stop,
+                    install_signals=False, jobs=None, **service_kwargs),
+        daemon=True,
+    )
+    thread.start()
+    try:
+        assert ready.wait(30), "daemon never came up"
+        yield json.loads((Path(data_dir) / "service.json").read_text())["url"]
+    finally:
+        stop.set()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "serve() did not return after stop"
+
+
+@contextlib.contextmanager
+def workerless_server(svc):
+    """The HTTP surface with no worker behind it: admitted jobs stay
+    ``queued``."""
     server = make_server(svc)
     threading.Thread(target=server.serve_forever,
                      kwargs={"poll_interval": 0.05}, daemon=True).start()
-    svc.start_worker()
     try:
-        yield svc, f"http://127.0.0.1:{server.server_address[1]}"
+        yield f"http://127.0.0.1:{server.server_address[1]}"
     finally:
         server.shutdown()
         svc.stop()
         server.server_close()
 
 
+@pytest.fixture()
+def service(tmp_path):
+    with running_daemon(tmp_path / "svc") as url:
+        yield url
+
+
 class TestHTTPAPI:
     def test_service_info(self, service):
-        _svc, url = service
+        url = service
         env = SweepClient(url).info()
         assert validate_envelope(env, kind="service-info")
         assert env["data"]["queue"]["depth"] == 0
 
     def test_submit_run_fetch_and_events(self, service):
-        _svc, url = service
+        url = service
         client = SweepClient(url, tenant="alice")
         job = client.submit(TINY)
         assert validate_envelope(job, kind="job")
@@ -264,19 +299,18 @@ class TestHTTPAPI:
         for record in events[:-1]:
             assert validate_envelope(record["data"], kind="sweep-event")
 
-    def test_results_409_while_unfinished(self, service, tmp_path):
-        svc, url = service
-        # a queued job the worker hasn't touched: stop the worker first
-        svc.stop()
-        client = SweepClient(url)
-        job_id = client.submit(TINY)["data"]["id"]
-        with pytest.raises(ServiceError) as exc_info:
-            client.results(job_id)
+    def test_results_409_while_unfinished(self, tmp_path):
+        # a queued job no worker will touch
+        with workerless_server(ReproService(tmp_path / "svc", jobs=None)) as url:
+            client = SweepClient(url)
+            job_id = client.submit(TINY)["data"]["id"]
+            with pytest.raises(ServiceError) as exc_info:
+                client.results(job_id)
         assert exc_info.value.code == "not-ready"
         assert exc_info.value.status == 409
 
     def test_typed_4xx_taxonomy_over_the_wire(self, service):
-        _svc, url = service
+        url = service
         client = SweepClient(url)
         for payload, code in [
             ({**TINY, "queries": ["Q99"]}, "unknown-query"),
@@ -293,7 +327,7 @@ class TestHTTPAPI:
         assert exc_info.value.status == 404
 
     def test_unknown_platform_detail_carries_suggestion(self, service):
-        _svc, url = service
+        url = service
         with pytest.raises(ServiceError) as exc_info:
             SweepClient(url).submit({**TINY, "platforms": ["hpvv"]})
         assert exc_info.value.detail["suggestion"] == "hpv"
@@ -301,22 +335,14 @@ class TestHTTPAPI:
     def test_rate_limited_gets_retry_after(self, tmp_path):
         svc = ReproService(tmp_path / "svc", jobs=None, rate_per_s=0.001,
                            burst=1)
-        server = make_server(svc)
-        threading.Thread(target=server.serve_forever,
-                         kwargs={"poll_interval": 0.05}, daemon=True).start()
-        try:
-            client = SweepClient(
-                f"http://127.0.0.1:{server.server_address[1]}"
-            )
+        with workerless_server(svc) as url:
+            client = SweepClient(url)
             client.submit(TINY)
             with pytest.raises(ServiceError) as exc_info:
                 client.submit(TINY)
-            assert exc_info.value.code == "rate-limited"
-            assert exc_info.value.status == 429
-            assert exc_info.value.retry_after_s >= 1
-        finally:
-            server.shutdown()
-            server.server_close()
+        assert exc_info.value.code == "rate-limited"
+        assert exc_info.value.status == 429
+        assert exc_info.value.retry_after_s >= 1
 
     def test_multi_tenant_overlapping_grids_compute_shared_cells_once(
         self, service
@@ -324,7 +350,7 @@ class TestHTTPAPI:
         """Two tenants submit overlapping grids; the shared cell is
         computed exactly once (cache-hit counters prove it) and both
         fetch bitwise-identical bytes for it."""
-        _svc, url = service
+        url = service
         alice = SweepClient(url, tenant="alice")
         bob = SweepClient(url, tenant="bob")
         # overlap: Q6:hpv:2 appears in both grids
@@ -345,7 +371,7 @@ class TestHTTPAPI:
             json.dumps(cells_b[shared], sort_keys=True)
 
     def test_identical_specs_fetch_identical_bytes(self, service):
-        _svc, url = service
+        url = service
         client = SweepClient(url)
         a = client.submit(TINY)["data"]["id"]
         client.wait(a, timeout=120)
@@ -355,6 +381,224 @@ class TestHTTPAPI:
         doc_a = json.dumps(client.results(a)["data"], sort_keys=True)
         doc_b = json.dumps(client.results(b)["data"], sort_keys=True)
         assert doc_a == doc_b  # ...same bytes: data is spec-determined
+
+
+# ---------------------------------------------------------------------------
+# waiting on a job: SweepClient.wait rides the event stream
+# ---------------------------------------------------------------------------
+class TestClientWait:
+    def test_returns_the_final_job_envelope(self, service):
+        client = SweepClient(service)
+        job_id = client.submit(TINY)["data"]["id"]
+        final = client.wait(job_id, timeout=120)
+        assert validate_envelope(final, kind="job")
+        assert final["data"]["state"] == "done"
+        assert final == client.status(job_id)
+        assert client.wait(job_id, timeout=120) == final  # finished: replayed
+
+    def test_not_ready_on_timeout(self, tmp_path):
+        with workerless_server(ReproService(tmp_path / "svc", jobs=None)) as url:
+            client = SweepClient(url)
+            job_id = client.submit(TINY)["data"]["id"]
+            t0 = time.monotonic()
+            with pytest.raises(ServiceError) as exc_info:
+                client.wait(job_id, timeout=0.2)
+            assert time.monotonic() - t0 < 5
+        assert exc_info.value.code == "not-ready"
+        assert exc_info.value.status == 409
+        assert "queued" in str(exc_info.value)
+
+
+# ---------------------------------------------------------------------------
+# hostile Content-Length, over raw sockets (http.client would not send these)
+# ---------------------------------------------------------------------------
+def _raw_post(url: str, content_length) -> tuple:
+    """``POST /v1/sweeps`` with a hand-written ``Content-Length`` and no
+    body; ``(status, error envelope)``.  Reads to end-of-stream, which
+    the server reaches only once the handler thread has returned — a
+    handler stuck in ``rfile.read`` fails the test on the socket
+    timeout instead."""
+    host, port = url[len("http://"):].split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(
+            f"POST /v1/sweeps HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode()
+        )
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), validate_envelope(body.decode(), kind="error")
+
+
+class TestContentLength:
+    @pytest.mark.parametrize("declared", ["-1", "lots"])
+    def test_negative_or_non_integer_is_a_typed_400(self, service, declared):
+        status, env = _raw_post(service, declared)
+        assert status == 400
+        assert env["data"]["code"] == "bad-request"
+        assert declared in env["data"]["error"]
+        assert SweepClient(service).jobs()["data"]["jobs"] == []
+
+    def test_over_the_cap_is_a_typed_413(self, service):
+        status, env = _raw_post(service, MAX_BODY + 1)
+        assert status == 413
+        assert env["data"]["code"] == "payload-too-large"
+        assert env["data"]["detail"]["max_bytes"] == MAX_BODY
+        assert SweepClient(service).jobs()["data"]["jobs"] == []
+
+
+# ---------------------------------------------------------------------------
+# the event-driven daemon: nothing polls, nothing is lost, idle is idle
+# ---------------------------------------------------------------------------
+class TestEventDriven:
+    def test_memoised_roundtrip_without_a_single_sleep(
+        self, service, monkeypatch
+    ):
+        client = SweepClient(service)
+        client.wait(client.submit(TINY)["data"]["id"], timeout=120)
+
+        def no_sleep(_seconds):
+            raise AssertionError("time.sleep on the submit/SSE/fetch path")
+
+        # the daemon runs in this process, so this covers its module too
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        job_id = client.submit(TINY)["data"]["id"]
+        events = list(client.events(job_id))
+        assert [e["event"] for e in events] == ["on_cell_done", "end"]
+        final = events[-1]["data"]["data"]
+        assert final["state"] == "done" and final["error"] is None
+        assert final["report"]["ran"] == 0
+        assert final["report"]["memoized"] == 1
+        assert list(client.results(job_id)["data"]["cells"]) == \
+            ["Q6:hpv:1:1:default"]
+
+    def test_back_to_back_jobs_stream_every_record_once_before_end(
+        self, tmp_path
+    ):
+        """A follower that connects while the job runs, is already
+        finished, or has not started yet sees the whole journal, in
+        ``seq`` order, and then ``end`` — the race the old stream
+        covered with a second drain after the state flip."""
+        spec = {**TINY, "nprocs": [1, 2]}
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with running_daemon(tmp_path / "svc", rate_per_s=1e6,
+                                burst=10**6) as url:
+                client = SweepClient(url)
+                client.wait(client.submit(spec)["data"]["id"], timeout=240)
+                for _ in range(200):
+                    job_id = client.submit(spec)["data"]["id"]
+                    events = list(client.events(job_id))
+                    assert events[-1]["event"] == "end"
+                    assert events[-1]["data"]["data"]["state"] == "done"
+                    streamed = [e["data"]["data"] for e in events[:-1]]
+                    assert [r["seq"] for r in streamed] == [0, 1]
+                    journal = SweepEventJournal.read(
+                        tmp_path / "svc" / "events" / f"{job_id}.jsonl"
+                    )
+                    assert [{**r, "job": job_id} for r in journal] == streamed
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_idle_worker_blocks_and_stop_is_prompt(self, tmp_path):
+        svc = ReproService(tmp_path / "svc", jobs=None)
+        entered = []
+        next_job = svc.queue.next_job
+
+        def counting(*args, **kwargs):
+            entered.append(time.monotonic())
+            return next_job(*args, **kwargs)
+
+        svc.queue.next_job = counting
+        svc.start_worker()
+        time.sleep(0.3)
+        assert len(entered) == 1  # asked once, still inside: no wake-ups
+        t0 = time.monotonic()
+        svc.stop()
+        assert time.monotonic() - t0 < 1.0
+        assert not svc._worker.is_alive()
+
+    def test_follower_of_an_unfinished_job_leaves_on_stop(self, tmp_path):
+        svc = ReproService(tmp_path / "svc", jobs=None)
+        with workerless_server(svc) as url:
+            client = SweepClient(url)
+            job_id = client.submit(TINY)["data"]["id"]
+            seen = []
+            follower = threading.Thread(
+                target=lambda: seen.extend(client.events(job_id)), daemon=True
+            )
+            follower.start()
+            time.sleep(0.1)  # let it block on the queued job
+            svc.stop()
+            follower.join(timeout=10)
+            assert not follower.is_alive()
+            assert seen == []  # no events, and no ``end``: the job never ran
+
+
+# ---------------------------------------------------------------------------
+# the per-job event journal
+# ---------------------------------------------------------------------------
+CELL = ("Q6", "hpv", 1, 1, "default")
+
+
+class TestSweepEventJournal:
+    def test_one_append_handle_for_the_life_of_the_journal(self, tmp_path):
+        path = tmp_path / "events" / "job.jsonl"
+        journal = SweepEventJournal(path)
+        journal.on_cell_done(CELL, "ran")
+        # every record is readable as soon as it is appended...
+        assert [r["seq"] for r in SweepEventJournal.read(path)] == [0]
+        # ...and goes through the handle opened at construction, not a
+        # fresh open() of the path
+        moved = path.with_suffix(".moved")
+        path.rename(moved)
+        journal.on_cell_retry(CELL, 1, "transient", 0.5)
+        journal.close()
+        assert not path.exists()
+        assert [(r["seq"], r["event"]) for r in SweepEventJournal.read(moved)] \
+            == [(0, "on_cell_done"), (1, "on_cell_retry")]
+
+    def test_reopening_continues_the_sequence_past_a_torn_tail(self, tmp_path):
+        """kill -9 mid-append leaves half a line; the restarted job's
+        journal drops it and keeps counting, so no record is ever glued
+        to the wreck and lost to readers."""
+        path = tmp_path / "job.jsonl"
+        first = SweepEventJournal(path)
+        first.on_cell_done(CELL, "ran")
+        first.on_cell_done(CELL, "cache")
+        first.close()
+        with path.open("ab") as fh:
+            fh.write(b'{"seq": 2, "event": "on_cell_d')
+        assert [r["seq"] for r in SweepEventJournal.read(path)] == [0, 1]
+        second = SweepEventJournal(path)
+        assert second.n_events == 2
+        second.on_sweep_degraded("pool lost")
+        second.close()
+        records = SweepEventJournal.read(path)
+        assert [r["seq"] for r in records] == [0, 1, 2]
+        assert records[-1]["event"] == "on_sweep_degraded"
+
+    def test_read_from_tails_by_byte_offset(self, tmp_path):
+        path = tmp_path / "job.jsonl"
+        assert SweepEventJournal.read_from(path, 0) == ([], 0)  # not there yet
+        journal = SweepEventJournal(path)
+        journal.on_cell_done(CELL, "ran")
+        records, offset = SweepEventJournal.read_from(path, 0)
+        assert [r["seq"] for r in records] == [0]
+        assert offset == path.stat().st_size
+        assert SweepEventJournal.read_from(path, offset) == ([], offset)
+        journal.on_cell_done(CELL, "cache")
+        journal.close()
+        with path.open("ab") as fh:
+            fh.write(b'{"seq": 2')  # torn: not a record, not consumed
+        records, resumed = SweepEventJournal.read_from(path, offset)
+        assert [r["seq"] for r in records] == [1]
+        assert resumed == path.stat().st_size - len(b'{"seq": 2')
 
 
 # ---------------------------------------------------------------------------
