@@ -10,9 +10,10 @@ intended behaviour change (re-bless with ``repro verify
 --update-golden`` and review the diff in version control) or a bug.
 
 The covered cells are the paper's three queries on both machines at 1,
-2 and 4 processes — small enough to run in CI, wide enough that a
-change to any layer (trace generation, caches, directory, interconnect,
-scheduler) moves at least one snapshot.
+2 and 4 processes, and on the two modern machine files at 1, 2, 4 and
+8 — small enough to run in CI, wide enough that a change to any layer
+(trace generation, caches, directory, interconnect, scheduler) moves at
+least one snapshot.
 """
 
 from __future__ import annotations
@@ -47,12 +48,11 @@ GOLDEN_QUERIES: Tuple[str, ...] = ("Q6", "Q21", "Q12")
 GOLDEN_PLATFORMS: Tuple[str, ...] = ("hpv", "sgi")
 GOLDEN_NPROCS: Tuple[int, ...] = (1, 2, 4)
 
-#: The modern machine-file platforms get a narrower matrix (the three
-#: queries at one process count) — enough that any drift in the
-#: three-level / islands / prefetch paths moves a snapshot without
-#: doubling CI time.
+#: The modern machine-file platforms (three levels, prefetcher, islands
+#: charging) run the three queries at 1 to 8 processes: p8 is where
+#: single-owner interventions and cross-socket traffic are densest.
 GOLDEN_MODERN_PLATFORMS: Tuple[str, ...] = ("islands-2x8", "flat-smp-16")
-GOLDEN_MODERN_NPROCS: Tuple[int, ...] = (2,)
+GOLDEN_MODERN_NPROCS: Tuple[int, ...] = (1, 2, 4, 8)
 
 Cell = Tuple[str, str, int]
 

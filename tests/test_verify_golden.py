@@ -3,8 +3,11 @@ and the committed snapshot set."""
 
 import json
 
+import pytest
+
 from repro.verify.golden import (
     GOLDEN_FORMAT,
+    GOLDEN_MODERN_PLATFORMS,
     capture_cell,
     cell_name,
     default_golden_dir,
@@ -78,13 +81,25 @@ class TestCommittedGoldens:
         d = default_golden_dir()
         cells = golden_cells()
         # 3 queries x (2 paper platforms x 3 proc counts
-        #              + 2 modern platforms x 1 proc count)
-        assert len(cells) == 24
+        #              + 2 modern platforms x 4 proc counts)
+        assert len(cells) == 42
         for cell in cells:
             assert (d / f"{cell_name(cell)}.json").exists(), cell_name(cell)
 
     def test_committed_cell_is_fresh(self):
-        """One committed snapshot re-verified end to end; the full 24
+        """One committed snapshot re-verified end to end; the full 42
         run under ``repro verify`` (CI), not per-test."""
         report = run_golden(default_golden_dir(), cells=[CELL])
+        assert report.ok, [d.details for d in report.diffs]
+
+    @pytest.mark.parametrize(
+        "cell",
+        [c for c in golden_cells() if c[1] in GOLDEN_MODERN_PLATFORMS],
+        ids=cell_name,
+    )
+    def test_modern_cell_is_fresh(self, cell):
+        """Every modern-machine snapshot re-verified in the suite: the
+        batched engine's three-level, prefetch, islands and
+        intervention lanes are pinned at every process count."""
+        report = run_golden(default_golden_dir(), cells=[cell])
         assert report.ok, [d.details for d in report.diffs]
