@@ -1,15 +1,16 @@
 """CI benchmark smoke: tiny full_figure_grid, batched engine vs spec.
 
 Runs the complete figure grid (3 queries x 2 platforms x 5 process
-counts) at a very small scale factor twice — once through the batched
-engine (``fast_path=True``, the default) and once through the
-per-reference specification (``fast_path=False``, one
-``MemorySystem.access`` call per reference) — asserts every cell's
-counters and clocks are bitwise-equal, and appends a datapoint to a
-bench JSON the workflow uploads as an artifact.  This is a *smoke*
-check: it proves the engine's equivalence claim holds on every push
-for real TPC-H traffic, not just synthetic fuzz traces; throughput
-numbers come from ``bench/run.py``.
+counts) plus Q6 and Q21 on both modern machine files (three levels,
+prefetcher, islands) at 1, 2, 4 and 8 processes, at a very small scale
+factor, twice — once through the batched engine (``fast_path=True``,
+the default) and once through the per-reference specification
+(``fast_path=False``, one ``MemorySystem.access`` call per reference) —
+asserts every cell's counters and clocks are bitwise-equal, and appends
+a datapoint to a bench JSON the workflow uploads as an artifact.  This
+is a *smoke* check: it proves the engine's equivalence claim holds on
+every push for real TPC-H traffic, not just synthetic fuzz traces;
+throughput numbers come from ``bench/run.py``.
 
 Usage: python scripts/bench_smoke_kernel.py [out_dir]
 """
@@ -33,6 +34,7 @@ from repro.core.sweep import SweepRunner, figure_grid_cells  # noqa: E402
 from repro.tpch.datagen import TPCHConfig  # noqa: E402
 
 SMOKE_TPCH = TPCHConfig(sf=0.0004, seed=19920101)
+MODERN_PLATFORMS = ("islands-2x8", "flat-smp-16")
 
 
 def snap(res):
@@ -46,7 +48,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     out_dir = Path(argv[0]) if argv else Path("bench-smoke")
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = figure_grid_cells()
+    cells = figure_grid_cells() + figure_grid_cells(
+        queries=("Q6", "Q21"),
+        platforms=MODERN_PLATFORMS,
+        nprocs=(1, 2, 4, 8),
+    )
 
     fast = SweepRunner(sim=DEFAULT_SIM, tpch=SMOKE_TPCH)
     t0 = time.perf_counter()

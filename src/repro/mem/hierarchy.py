@@ -94,13 +94,6 @@ class CacheHierarchy:
                 for inner in levels[:li]:
                     inner.invalidate_range(vbase, cache.config.line_size)
 
-    def fill_l1(self, addr: int, state: int) -> None:
-        """Install just the L1 line for an access that hit in the L2.
-        (Two-level compatibility helper; the general path is
-        :meth:`fill_inner`.)"""
-        if self.has_l2:
-            self.l1.insert(addr, state)
-
     def set_state(self, addr: int, state: int) -> None:
         """Propagate a state change to every level where the line sits."""
         self.coherent.set_state(addr, state)

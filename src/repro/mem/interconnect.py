@@ -36,6 +36,12 @@ class Interconnect:
     #: Upper bound on a single queue delay (four epochs); keeps
     #: pathological spill accumulation from dominating a run.
     MAX_DELAY = 4 << EPOCH_SHIFT
+    #: Interleaved banks behind each home node.  On every subclass
+    #: ``bank_of(line, home) == home * banks_per_home + (line >> 6) %
+    #: banks_per_home`` for the homes its machine produces (crossbar
+    #: lines are all homed on node 0), which is how the batched engine
+    #: charges banks without a call.
+    banks_per_home = 1
 
     def __init__(self, topology: Topology, lat: LatencyModel) -> None:
         self.topology = topology
@@ -143,7 +149,7 @@ class CrossbarInterconnect(Interconnect):
 
     def __init__(self, topology: Topology, lat: LatencyModel, n_banks: int = 8) -> None:
         super().__init__(topology, lat)
-        self.n_banks = n_banks
+        self.n_banks = self.banks_per_home = n_banks
 
     def bank_of(self, line_addr: int, home_node: int) -> int:
         # Interleave at 64 B granularity (the V-Class's EMAC interleave);
@@ -184,7 +190,7 @@ class IslandsInterconnect(Interconnect):
         self, topology: Topology, lat: LatencyModel, banks_per_socket: int = 1
     ) -> None:
         super().__init__(topology, lat)
-        self.banks_per_socket = max(1, banks_per_socket)
+        self.banks_per_socket = self.banks_per_home = max(1, banks_per_socket)
 
     def bank_of(self, line_addr: int, home_node: int) -> int:
         return home_node * self.banks_per_socket + (

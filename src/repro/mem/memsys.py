@@ -15,14 +15,15 @@ maintains all counters the paper's figures need:
 An access is implemented exactly twice.  :meth:`MemorySystem.access`
 is the executable specification — one reference, every transition
 through the engine and interconnect methods.
-:meth:`MemorySystem.access_batch` is the one batched engine: a
-flattened loop that, besides resolving private hits inline, executes
-the *common-case* directory transactions (unowned and shared fetches
-with no intervention and no sharer invalidation) against the directory
-dict, bank-queue dicts and cache sets directly — only interventions,
-sharer invalidations and upgrades fall back to the full
-:meth:`_coherent_miss` / :meth:`_do_upgrade` helpers.  The two are
-bitwise-equivalent; :meth:`MemorySystem.access_each` runs a batch
+:meth:`MemorySystem.access_batch` is the one batched engine, for every
+machine (1 to 3 levels, prefetcher or not, any topology): a flattened
+loop that resolves hits at every level, the next-line prefetcher, and
+the directory transactions that touch at most one other cache (unowned
+and shared fetches, single-owner interventions) against the cache
+sets, directory dict and bank-queue dicts directly — only writes that
+invalidate sharers, migratory reads and upgrades from S fall back to
+the full :meth:`_coherent_miss` / :meth:`_do_upgrade` helpers.  The two
+are bitwise-equivalent; :meth:`MemorySystem.access_each` runs a batch
 through the specification.
 """
 
@@ -35,9 +36,9 @@ from ..obs.bus import MEMSYS_EVENTS, SinkRegistry
 from ..trace.address import AddressSpace
 from ..trace.classify import NUM_CLASSES
 from .coherence import KIND_INTERVENTION, CoherenceEngine
-from .directory import NO_OWNER, DirEntry
+from .directory import DirEntry
 from .hierarchy import CacheHierarchy
-from .machine import TOPOLOGY_CROSSBAR, TOPOLOGY_ISLANDS, MachineConfig
+from .machine import TOPOLOGY_CROSSBAR, MachineConfig
 from .states import EXCLUSIVE, MODIFIED, SHARED
 
 MISS_COLD = 0
@@ -142,19 +143,14 @@ class MemorySystem:
         # hot-path caching of config values
         self._uma = machine.topology_kind == TOPOLOGY_CROSSBAR
         self._exposure = machine.latency.exposure
-        self._l2_hit = machine.latency.l2_hit
-        self._l3_hit = machine.latency.l3_hit
         self._n_levels = len(machine.caches)
         self._has_l2 = self._n_levels >= 2
-        #: Exposed stall of a clean L2 hit — constant per machine, so
-        #: computed once instead of per hit.
-        self._l2_stall = int(self._l2_hit * self._exposure)
         #: Exposed stall of a clean hit at ``levels[li]`` (cumulative:
         #: a hit at the L3 also traversed the L2); index 0 unused.
         self._level_stall = [0]
         _lat_acc = 0
         for _li in range(1, self._n_levels):
-            _lat_acc += self._l2_hit if _li == 1 else self._l3_hit
+            _lat_acc += machine.latency.l2_hit if _li == 1 else machine.latency.l3_hit
             self._level_stall.append(int(_lat_acc * self._exposure))
         #: Traversal latency of every level between the L1 and memory,
         #: added to each coherent miss's raw latency on its way out.
@@ -163,17 +159,15 @@ class MemorySystem:
         self._prefetch = machine.prefetch_next_line and self._has_l2
         self._l1_shift = machine.caches[0].line_shift
         self.n_prefetch_fills = 0
-        #: The batched engine's inline miss lanes transcribe
-        #: the 1/2-level crossbar/hypercube fast cases only; machines
-        #: outside that envelope (3 levels, prefetcher, islands
-        #: interconnects with per-socket bank interleaving) route every
-        #: L1 miss through the general :meth:`_miss` helper instead.
-        self._inline_ok = (
-            self._n_levels <= 2
-            and not self._prefetch
-            and machine.topology_kind != TOPOLOGY_ISLANDS
-        )
         self._coh_mask = ~(machine.coherence_line_size - 1)
+        #: Inclusion-sweep widths of the batched engine: L1 lines per
+        #: middle-level line, middle lines per coherent line, L1 lines
+        #: per coherent line (the middle ones unused below 3 levels).
+        _shifts = [c.line_shift for c in machine.caches]
+        _mid_shift = _shifts[min(1, self._n_levels - 1)]
+        self._l1_per_mid = 1 << (_mid_shift - _shifts[0])
+        self._mid_per_co = 1 << (_shifts[-1] - _mid_shift)
+        self._l1_per_co = 1 << (_shifts[-1] - _shifts[0])
         # miss-classification memory
         self._ever_cached: List[Set[int]] = [set() for _ in range(machine.n_cpus)]
         self._lost_to_inval: List[Set[int]] = [set() for _ in range(machine.n_cpus)]
@@ -184,71 +178,63 @@ class MemorySystem:
         #: lookups almost always land in the same one.  Valid because a
         #: segment's range and home never change once allocated.
         self._home_span: Tuple[int, int, int] = (1, 0, 0)
-        # Inline-lane constants (the batched engine executes
-        # common-case directory transactions without entering the
-        # engine/interconnect methods; see `access_batch`).
+        # Inline-lane constants (the batched engine executes directory
+        # transactions without entering the engine/interconnect
+        # methods; see `access_batch`).
         ic = self.interconnect
         lat = machine.latency
         self._mem_base = lat.mem_base
         self._bank_service = lat.bank_service
+        self._banks_per_home = ic.banks_per_home
+        #: What an intervention adds to the memory round trip.
+        self._interv_extra = lat.intervention_cost(0)
         self._epoch_shift = ic.EPOCH_SHIFT
         self._epoch_len = 1 << ic.EPOCH_SHIFT
         self._max_delay = ic.MAX_DELAY
         self._bank_load = ic._load
         self._bank_spill = ic._spill
         self._dir_entries = self.engine.directory._entries
+        #: ``ic.distance_cost(cpu, home)`` as a table, one row per CPU.
+        self._dist = [
+            [ic.distance_cost(cpu, hm) for hm in range(self.topology.n_nodes)]
+            for cpu in range(machine.n_cpus)
+        ]
         #: Per-CPU hoisted state for the batched engine: one tuple
-        #: unpack replaces ~20 attribute lookups and method binds per
-        #: batch (batches average tens of references, so the prologue
-        #: is a measurable share of the engine's time).  Everything in
-        #: here is structurally stable for the life of the memsys: the
-        #: stats/hierarchy objects are never replaced, ``flush`` and
-        #: ``reset_contention`` clear their dicts in place, and the
-        #: bound helpers captured here are the *unobserved* ones —
-        #: attaching a sink shadows ``access_batch`` with
+        #: unpack replaces ~20 attribute lookups per batch (batches
+        #: average tens of references, so the prologue is a measurable
+        #: share of the engine's time).  Everything in here is
+        #: structurally stable for the life of the memsys: the
+        #: stats/hierarchy/cache objects are never replaced, ``flush``
+        #: and ``reset_contention`` clear their dicts in place, and the
+        #: ``note_silent_upgrade`` captured here is the *unobserved*
+        #: one — attaching a sink shadows ``access_batch`` with
         #: ``access_each``, so this context is never consulted while
-        #: observation is on.
+        #: observation is on.  The middle level is resolved here
+        #: (``None`` below three levels); on one level the coherent
+        #: level *is* the L1.  No method bound to ``self`` is stored,
+        #: so the memsys is not a reference cycle and dies with its
+        #: last reference.
         self._batch_ctx = []
         for cpu in range(machine.n_cpus):
             h = self.hierarchies[cpu]
-            l1_sets, l1_shift, l1_mask = h.l1.hot_view()
-            if h.has_l2:
-                l2_sets, l2_shift, l2_mask = h.coherent.hot_view()
-                l2_assoc = h.coherent.config.assoc
-            else:
-                l2_sets = l2_shift = l2_mask = l2_assoc = None
-            if self._uma:
-                bank_mod = ic.n_banks
-                dist_row: Optional[List[int]] = None
-            else:
-                bank_mod = None
-                node = self.topology.node_of_cpu(cpu)
-                dist_row = [
-                    lat.hop_cost * self.topology.hops(node, hm)
-                    for hm in range(self.topology.n_nodes)
-                ]
+            mid = h.levels[1] if self._n_levels == 3 else None
             self._batch_ctx.append((
                 self.stats[cpu],
                 h,
                 h.l1,
-                l1_sets,
-                l1_shift,
-                l1_mask,
+                *h.l1.hot_view(),
                 h.l1.config.assoc,
+                mid,
+                *(mid.hot_view() if mid else (None, 0, 0)),
+                mid.config.assoc if mid else 0,
                 h.coherent,
-                l2_sets,
-                l2_shift,
-                l2_mask,
-                l2_assoc,
-                machine.coherence_line_size >> l1_shift,
+                *h.coherent.hot_view(),
+                h.coherent.config.assoc,
                 h.set_state,
-                self._coherent_miss,
-                self._do_upgrade,
                 self.engine.note_silent_upgrade,
                 self._ever_cached[cpu],
                 self._lost_to_inval[cpu],
-                dist_row,
-                bank_mod,
+                self._dist[cpu],
             ))
 
     # -- NUMA placement -------------------------------------------------------
@@ -447,15 +433,14 @@ class MemorySystem:
         """Run a whole :class:`~repro.trace.stream.RefBatch`; return the
         float cycles it consumed (the caller truncates once per batch).
 
-        The one batched engine.  It mirrors :meth:`access` operation
-        for operation (same float additions in the same order, same
-        dictionary operations on every cache set and directory entry),
-        so counters, timing and final cache state are bitwise identical
-        to :meth:`access_each`; the equivalence suites and the fuzzer
-        compare the two counter for counter.
+        The one batched engine, for every machine.  It mirrors
+        :meth:`access` operation for operation (same float additions in
+        the same order, same dictionary operations on every cache set
+        and directory entry), so counters, timing and final cache state
+        are bitwise identical to :meth:`access_each`; the equivalence
+        suites and the fuzzer compare the two counter for counter.
 
-        Everything that generates no directory transaction is resolved
-        inline against the cache set structures (via
+        Resolved inline against the cache set structures (via
         :meth:`SetAssocCache.hot_view`), with the counters applied in
         bulk at the end of the batch:
 
@@ -463,23 +448,24 @@ class MemorySystem:
         * spatial runs — consecutive references to the same L1 line
           skip the set lookup and MRU promotion entirely (the line is
           already MRU and its state is tracked in a local),
-        * silent E→M upgrades on L1 or L2 hits,
-        * clean L2 hits, including the L1 refill and the constant
-          exposed L2 stall.
+        * silent E→M upgrades on hits at any level,
+        * hits at the middle (three-level machines) and coherent
+          levels, with the inward refill and each refill victim's
+          inclusion sweep,
+        * the next-line prefetcher's fills (a fill ends the run),
+        * coherent misses — transcriptions of
+          :meth:`CoherenceEngine.read_miss` /
+          :meth:`~CoherenceEngine.write_miss` for unowned and shared
+          lines and for single-owner interventions (a read downgrades
+          the owner, a write steals the line), of
+          :meth:`Interconnect._enter_bank`'s epoch queueing (one bank
+          formula and one distance table for every topology), of
+          :meth:`_classify_miss` and of the fill/evict path.
 
-        Coherent misses take an inline lane too, provided the
-        transaction is *simple*: the line is not exclusive in another
-        cache, and a write finds no other sharer.  Those transactions
-        (the vast majority — streaming scans fetch unowned lines) are
-        transcriptions of :meth:`CoherenceEngine.read_miss` /
-        :meth:`~CoherenceEngine.write_miss`'s no-intervention branches,
-        :meth:`Interconnect._enter_bank`'s epoch queueing,
-        :meth:`_classify_miss` and the fill/evict path, executed
-        against the directory dict, bank dicts and set dicts directly.
-        Interventions, sharer invalidations and S-write upgrades leave
-        the loop through the same :meth:`_do_upgrade` /
-        :meth:`_coherent_miss` helpers :meth:`access` uses, preserving
-        the exact transition semantics by construction.
+        Only writes that must invalidate sharers, reads of a migratory
+        line held elsewhere, and upgrades from S leave the loop, through
+        the same :meth:`_coherent_miss` / :meth:`_do_upgrade` helpers
+        :meth:`access` uses.
 
         On a memory system built with ``fast_path=False``, or while an
         exact sink is attached, this name is shadowed by
@@ -487,42 +473,32 @@ class MemorySystem:
         ``access_batch`` unconditionally.
         """
         (
-            st,
-            h,
-            l1,
-            l1_sets,
-            l1_shift,
-            l1_mask,
-            l1_assoc,
-            l2,
-            l2_sets,
-            l2_shift,
-            l2_mask,
-            l2_assoc,
-            l1_per_coh,
-            set_state,
-            coherent_miss,
-            do_upgrade,
-            note_silent,
-            ever_cached,
-            lost_inval,
-            dist_row,
-            bank_mod,
+            st, h, l1, l1_sets, l1_shift, l1_mask, l1_assoc,
+            mid, mid_sets, mid_shift, mid_mask, mid_assoc,
+            co, co_sets, co_shift, co_mask, co_assoc,
+            set_state, note_silent, ever_cached, lost_inval, dist_row,
         ) = self._batch_ctx[cpu]
-        has_l2 = l2_sets is not None
-        # Machines outside the inline lanes' envelope (3 cache levels,
-        # prefetcher, islands interconnect) take the general `_miss`
-        # helper on every L1 miss; the L1 hit/silent-upgrade handling
-        # above it is depth- and topology-independent.
-        general_miss = None if self._inline_ok else self._miss
-        l2_stall = self._l2_stall
+        # bound per call: kept in the context they would make the
+        # memsys a reference cycle
+        coherent_miss = self._coherent_miss
+        do_upgrade = self._do_upgrade
+        has_l2 = co is not l1
+        mid_stall = self._level_stall[1] if mid is not None else 0
+        co_stall = self._level_stall[-1]
+        below_l1 = self._below_l1_lat
+        l1_per_mid = self._l1_per_mid
+        mid_per_co = self._mid_per_co
+        l1_per_co = self._l1_per_co
+        prefetch = self._prefetch
         modified = MODIFIED
         exclusive = EXCLUSIVE
         shared = SHARED
         coh_mask = self._coh_mask
         cpu_bit = 1 << cpu
+        uma = self._uma
         mem_base = self._mem_base
         service = self._bank_service
+        bph = self._banks_per_home
         epoch_shift = self._epoch_shift
         epoch_len = self._epoch_len
         max_delay = self._max_delay
@@ -531,7 +507,6 @@ class MemorySystem:
         entries = self._dir_entries
         dir_entry = DirEntry
         exposure = self._exposure
-        l2_hit_lat = self._l2_hit
         engine = self.engine
         ic = self.interconnect
         txlog = self._txlog
@@ -545,8 +520,11 @@ class MemorySystem:
         n_silent = 0
         n_l1_evict = 0
         n_l1_dirty = 0
-        n_l2_evict = 0
-        n_l2_dirty = 0
+        n_mid_evict = 0
+        n_mid_dirty = 0
+        n_co_evict = 0
+        n_co_dirty = 0
+        n_prefetch = 0
         l2_stall_sum = 0
         n_cohm = 0
         raw_sum = 0
@@ -628,150 +606,167 @@ class MemorySystem:
                 n_writes += 1
             else:
                 n_reads += 1
-            if general_miss is not None:
-                cost += general_miss(cpu, addr, is_write, cls, int(t + cost), st, h)
-                cycles += cost
-                t += cost
-                continue
             n_l1_miss += 1
             if by_class is None:
                 by_class = [0] * NUM_CLASSES
             by_class[cls] += 1
-            if has_l2:
-                l2_line = addr >> l2_shift
-                l2_set = l2_sets[l2_line & l2_mask]
-                cstate = l2_set.get(l2_line, 0)
-                if cstate:
-                    l2_set.move_to_end(l2_line)  # probe()'s promotion
-                    n_l2_hits += 1
-                    stall = l2_stall
-                    if is_write:
-                        if cstate == shared:
-                            stall += do_upgrade(
-                                cpu, addr, int(t + cost), st, h
-                            )
-                            cstate = modified
-                        elif cstate == exclusive:
-                            # silent E→M in the L2 (resident: no insert)
-                            l2_set[l2_line] = modified
-                            note_silent(cpu, addr)
-                            n_silent += 1
-                            cstate = modified
-                            if txlog is not None:
-                                txlog.append(addr)
-                    # Inline L1 refill: the reference missed the L1
-                    # this very iteration, so the line is known absent
-                    # and :meth:`SetAssocCache.insert` reduces to the
-                    # eviction check + store (counters flushed below).
-                    if len(cset) >= l1_assoc:
-                        if cset.popitem(last=False)[1] == modified:
-                            n_l1_dirty += 1
-                        n_l1_evict += 1
-                    cset[line] = cstate
-                    run_line = line
-                    run_state = cstate
-                    l2_stall_sum += stall
-                    cost += stall
+            # Probe outward, promoting a hit as probe() does.  ``src`` is
+            # the supplying level: 1 the middle, 2 the coherent, 0 memory.
+            src = 0
+            if mid is not None:
+                m_line = addr >> mid_shift
+                m_set = mid_sets[m_line & mid_mask]
+                state = m_set.get(m_line, 0)
+                if state:
+                    m_set.move_to_end(m_line)
+                    src = 1
+                    stall = mid_stall
+            if not src:
+                co_line = addr >> co_shift
+                co_set = co_sets[co_line & co_mask]
+                if has_l2:
+                    state = co_set.get(co_line, 0)
+                    if state:
+                        co_set.move_to_end(co_line)
+                        src = 2
+                        stall = co_stall
+            if src:
+                n_l2_hits += 1
+                if is_write and state != modified:
+                    if state == shared:
+                        stall += do_upgrade(cpu, addr, int(t + cost), st, h)
+                    else:
+                        # silent E→M: a coherent-level hit restates that
+                        # level alone, a middle-level hit every level
+                        if src == 2:
+                            co_set[co_line] = modified
+                        else:
+                            set_state(addr, modified)
+                        note_silent(cpu, addr)
+                        n_silent += 1
+                        if txlog is not None:
+                            txlog.append(addr)
+                    state = modified
+                l2_stall_sum += stall
+            else:
+                # Coherent miss: a directory transaction, inline unless a
+                # write must invalidate sharers or a read meets a
+                # migratory line held elsewhere.
+                lbase = addr & coh_mask
+                e = entries.get(lbase)
+                if e is None:
+                    e = dir_entry()
+                    entries[lbase] = e
+                    owner = -1
+                    sharers = 0
+                else:
+                    owner = e.excl_owner
+                    sharers = e.sharers
+                intervene = owner != -1 and owner != cpu
+                if (is_write and sharers & ~cpu_bit) or (
+                    intervene and not is_write and e.migratory
+                ):
+                    cost += coherent_miss(cpu, addr, is_write, cls, int(t + cost), st, h)
                     cycles += cost
                     t += cost
                     continue
-            # Coherent miss.  The inline lane transcribes the
-            # no-intervention branches of the protocol; anything that
-            # must touch another CPU's cache falls back to the helper.
-            lbase = addr & coh_mask
-            e = entries.get(lbase)
-            if e is None:
-                e = dir_entry()
-                entries[lbase] = e
-                owner = -1
-                sharers = 0
-            else:
-                owner = e.excl_owner
-                sharers = e.sharers
-            if (owner != -1 and owner != cpu) or (
-                is_write and sharers & ~cpu_bit
-            ):
-                cost += coherent_miss(cpu, addr, is_write, cls, int(t + cost), st, h)
-                cycles += cost
-                t += cost
-                continue
-            # home node (span cache, same as _home())
-            if self._uma:
-                home = 0
-                dist = 0
-                bank = (lbase >> 6) % bank_mod
-            else:
-                lo, hi, home = self._home_span
-                if not lo <= addr < hi:
-                    home = self._home(addr)
-                dist = dist_row[home]
-                bank = home
-            # memory_fetch: epoch-queued bank entry (_enter_bank)
-            now_i = int(t + cost)
-            epoch = now_i >> epoch_shift
-            key = (bank, epoch)
-            cnt = bank_load.get(key, 0)
-            if cnt == 0:
-                prevk = (bank, epoch - 1)
-                backlog = (
-                    bank_spill.get(prevk, 0)
-                    + bank_load.get(prevk, 0) * service
-                    - epoch_len
-                )
-                if backlog > 0:
-                    bank_spill[key] = backlog
-            delay = bank_spill.get(key, 0) + cnt * service
-            if delay > max_delay:
-                delay = max_delay
-            bank_load[key] = cnt + 1
-            ic_requests += 1
-            if delay:
-                ic_queued += 1
-                ic_qdelay += delay
-            lat = mem_base + dist + delay
-            # directory transition + fill state (no-intervention cases)
-            if is_write:
-                # no other holder: plain ownership fetch
-                e.excl_owner = cpu
-                e.sharers = 0
-                e.last_writer = cpu
-                e.written_since_transfer = True
-                fill_state = modified
-                comm = lbase in lost_inval
-            else:
-                holders = sharers if owner == -1 else cpu_bit
-                if holders == 0 or holders == cpu_bit:
+                # home node (span cache, same as _home())
+                if uma:
+                    home = 0
+                else:
+                    lo, hi, home = self._home_span
+                    if not lo <= addr < hi:
+                        home = self._home(addr)
+                # epoch-queued bank entry (bank_of + _enter_bank)
+                now_i = int(t + cost)
+                bank = home * bph + (lbase >> 6) % bph
+                epoch = now_i >> epoch_shift
+                key = (bank, epoch)
+                cnt = bank_load.get(key, 0)
+                if cnt == 0:
+                    prevk = (bank, epoch - 1)
+                    backlog = (
+                        bank_spill.get(prevk, 0)
+                        + bank_load.get(prevk, 0) * service
+                        - epoch_len
+                    )
+                    if backlog > 0:
+                        bank_spill[key] = backlog
+                delay = bank_spill.get(key, 0) + cnt * service
+                if delay > max_delay:
+                    delay = max_delay
+                bank_load[key] = cnt + 1
+                ic_requests += 1
+                if delay:
+                    ic_queued += 1
+                    ic_qdelay += delay
+                lat = mem_base + dist_row[home] + delay
+                if intervene:
+                    # the single owner supplies the line: intervention
+                    # cost plus the owner's leg to the home
+                    engine.n_interventions += 1
+                    lat += self._interv_extra + self._dist[owner][home]
+                    oh = self.hierarchies[owner]
+                    if is_write:
+                        # write steal: the owner's copy dies
+                        oh.invalidate(lbase)
+                        engine.n_invalidations += 1
+                        engine._detect_migratory(e, cpu, 1 << owner)
+                        self._lost_to_inval[owner].add(lbase)
+                    else:
+                        # read downgrade: the owner keeps a SHARED copy
+                        if oh.coherent.peek(lbase) == modified:
+                            engine.n_writebacks += 1
+                            ic.post_writeback(lbase, home, now_i)
+                        oh.set_state(lbase, shared)
+                        engine.n_downgrades += 1
+                        e.excl_owner = -1
+                        e.sharers = (1 << owner) | cpu_bit
+                        e.written_since_transfer = False
+                        state = shared
+                if is_write:
                     e.excl_owner = cpu
                     e.sharers = 0
-                    e.written_since_transfer = False
-                    fill_state = exclusive
+                    e.last_writer = cpu
+                    e.written_since_transfer = True
+                    state = modified
+                elif not intervene:
+                    holders = sharers if owner == -1 else cpu_bit
+                    if holders == 0 or holders == cpu_bit:
+                        e.excl_owner = cpu
+                        e.sharers = 0
+                        e.written_since_transfer = False
+                        state = exclusive
+                    else:
+                        e.sharers = sharers | cpu_bit
+                        state = shared
+                # cold / capacity / comm classification (_classify_miss)
+                if intervene or lbase in lost_inval:
+                    mk = 2
+                    lost_inval.discard(lbase)
+                elif lbase in ever_cached:
+                    mk = 1
                 else:
-                    e.sharers = sharers | cpu_bit
-                    fill_state = shared
-                comm = lbase in lost_inval
-            # cold / capacity / comm classification (_classify_miss)
-            if comm:
-                mk = 2
-                lost_inval.discard(lbase)
-            elif lbase in ever_cached:
-                mk = 1
-            else:
-                mk = 0
-            ever_cached.add(lbase)
-            miss_kind[mk] += 1
-            miss_kind_by_class[cls][mk] += 1
-            # fill + victim notification (CacheHierarchy.fill + evict)
-            if has_l2:
-                if len(l2_set) >= l2_assoc:
-                    vline, vstate = l2_set.popitem(last=False)
-                    n_l2_evict += 1
+                    mk = 0
+                ever_cached.add(lbase)
+                miss_kind[mk] += 1
+                miss_kind_by_class[cls][mk] += 1
+                # coherent-level fill (CacheHierarchy.fill + evict): the
+                # victim leaves every inner level and the directory
+                if len(co_set) >= co_assoc:
+                    vline, vstate = co_set.popitem(last=False)
+                    n_co_evict += 1
                     if vstate == modified:
-                        n_l2_dirty += 1
-                    vbase = vline << l2_shift
-                    # inclusion sweep of the covered L1 lines
-                    vl = vbase >> l1_shift
-                    for k in range(l1_per_coh):
-                        l1_sets[(vl + k) & l1_mask].pop(vl + k, None)
+                        n_co_dirty += 1
+                    vbase = vline << co_shift
+                    if has_l2:
+                        vl = vbase >> l1_shift
+                        for k in range(l1_per_co):
+                            l1_sets[(vl + k) & l1_mask].pop(vl + k, None)
+                        if mid is not None:
+                            vl = vbase >> mid_shift
+                            for k in range(mid_per_co):
+                                mid_sets[(vl + k) & mid_mask].pop(vl + k, None)
                     ve = entries.get(vbase)
                     if ve is not None:
                         if ve.excl_owner == cpu:
@@ -782,40 +777,65 @@ class MemorySystem:
                         if vstate == modified:
                             engine.n_writebacks += 1
                             ic.post_writeback(vbase, self._home(vbase), now_i)
-                l2_set[l2_line] = fill_state
-                if len(cset) >= l1_assoc:
-                    if cset.popitem(last=False)[1] == modified:
-                        n_l1_dirty += 1
-                    n_l1_evict += 1
-                cset[line] = fill_state
-                lat += l2_hit_lat
-            else:
-                if len(cset) >= l1_assoc:
-                    vline, vstate = cset.popitem(last=False)
-                    n_l1_evict += 1
-                    if vstate == modified:
-                        n_l1_dirty += 1
-                    vbase = vline << l1_shift
-                    ve = entries.get(vbase)
-                    if ve is not None:
-                        if ve.excl_owner == cpu:
-                            ve.excl_owner = -1
-                            ve.sharers = 0
-                        else:
-                            ve.sharers &= ~cpu_bit
-                        if vstate == modified:
-                            engine.n_writebacks += 1
-                            ic.post_writeback(vbase, self._home(vbase), now_i)
-                cset[line] = fill_state
+                co_set[co_line] = state
+                n_cohm += 1
+                coh_by_class[cls] += 1
+                lat += below_l1
+                raw_sum += lat
+                stall = int(lat * exposure)
+                coh_stall_sum += stall
+                if txlog is not None:
+                    txlog.append(addr)
+            # Refill inward (CacheHierarchy.fill_inner): the middle level
+            # unless it supplied the line, then the L1.  A next-line
+            # prefetch runs the same fill once more, for line + 1.
             run_line = line
-            run_state = fill_state
-            n_cohm += 1
-            coh_by_class[cls] += 1
-            raw_sum += lat
-            stall = int(lat * exposure)
-            coh_stall_sum += stall
-            if txlog is not None:
-                txlog.append(addr)
+            run_state = state
+            fline = line
+            faddr = addr
+            while True:
+                if src != 1 and mid is not None:
+                    m_line = faddr >> mid_shift
+                    m_set = mid_sets[m_line & mid_mask]
+                    if m_line in m_set:  # only a prefetch finds it resident
+                        m_set[m_line] = state
+                        m_set.move_to_end(m_line)
+                    else:
+                        if len(m_set) >= mid_assoc:
+                            vline, vstate = m_set.popitem(last=False)
+                            n_mid_evict += 1
+                            if vstate == modified:
+                                n_mid_dirty += 1
+                            # silent to the directory; sweeps the L1
+                            vl = (vline << mid_shift) >> l1_shift
+                            for k in range(l1_per_mid):
+                                l1_sets[(vl + k) & l1_mask].pop(vl + k, None)
+                        m_set[m_line] = state
+                if has_l2:
+                    f_set = l1_sets[fline & l1_mask]
+                    if len(f_set) >= l1_assoc:
+                        if f_set.popitem(last=False)[1] == modified:
+                            n_l1_dirty += 1
+                        n_l1_evict += 1
+                    f_set[fline] = state
+                if not src or not prefetch or fline != line:
+                    break
+                # _prefetch_next: pull line + 1 up from the supplying
+                # level when it holds the line and the L1 does not
+                fline = line + 1
+                faddr = fline << l1_shift
+                if l1_sets[fline & l1_mask].get(fline, 0):
+                    break
+                if src == 1:
+                    p = faddr >> mid_shift
+                    state = mid_sets[p & mid_mask].get(p, 0)
+                else:
+                    p = faddr >> co_shift
+                    state = co_sets[p & co_mask].get(p, 0)
+                if not state:
+                    break
+                n_prefetch += 1
+                run_line = -1
             cost += stall
             cycles += cost
             t += cost
@@ -833,9 +853,14 @@ class MemorySystem:
         if n_l1_evict:
             l1.n_evictions += n_l1_evict
             l1.n_dirty_evictions += n_l1_dirty
-        if n_l2_evict:
-            l2.n_evictions += n_l2_evict
-            l2.n_dirty_evictions += n_l2_dirty
+        if n_mid_evict:
+            mid.n_evictions += n_mid_evict
+            mid.n_dirty_evictions += n_mid_dirty
+        if n_co_evict:
+            co.n_evictions += n_co_evict
+            co.n_dirty_evictions += n_co_dirty
+        if n_prefetch:
+            self.n_prefetch_fills += n_prefetch
         if n_silent:
             st.silent_upgrades += n_silent
         if n_cohm:

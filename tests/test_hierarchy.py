@@ -83,7 +83,7 @@ class TestFill:
         h = two_level()
         h.fill(0x100, EXCLUSIVE)
         h.l1.invalidate(0x100)
-        h.fill_l1(0x100, EXCLUSIVE)
+        h.fill_inner(0x100, EXCLUSIVE, 1)  # the L2 supplied the line
         assert h.l1.peek(0x100) == EXCLUSIVE
 
 

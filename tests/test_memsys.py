@@ -1,12 +1,20 @@
-"""MemorySystem: hierarchy walk, counters, miss classification, NUMA homes."""
+"""MemorySystem: hierarchy walk, counters, miss classification, NUMA
+homes, lifetime."""
+
+import gc
+import weakref
 
 import pytest
 
-from repro.mem.machine import hp_v_class, sgi_origin_2000
+from repro.core.experiment import ExperimentSpec, run_experiment
+from repro.mem.machine import hp_v_class, platform, sgi_origin_2000
 from repro.mem.memsys import MISS_CAPACITY, MISS_COLD, MISS_COMM, MemorySystem
 from repro.mem.states import MODIFIED
 from repro.trace.address import AddressSpace
 from repro.trace.classify import DataClass
+from repro.trace.stream import RefBatch
+
+from tests.conftest import TINY_TPCH
 
 
 def make_memsys(platform="hpv", scale=5):
@@ -155,3 +163,48 @@ class TestLatencyCounter:
         # though the stall charged to the thread is exposure-scaled.
         assert st.raw_latency_cycles >= ms.machine.latency.mem_base
         assert st.stall_cycles < st.raw_latency_cycles
+
+
+class TestNoReferenceCycle:
+    """A finished memory system is freed by reference counting alone.
+
+    Sweeps, trace capture and the benchmark pause the cyclic collector
+    while cells run, so a cell whose state sits in a reference cycle
+    (every cache set, directory entry and counter) stays resident until
+    the collector next runs."""
+
+    @pytest.mark.parametrize("plat", ["hpv", "sgi", "islands-2x8", "flat-smp-16"])
+    def test_finished_memsys_dies_on_del(self, plat):
+        aspace = AddressSpace()
+        seg = aspace.alloc("shared", 1 << 12, DataClass.RECORD)
+        ms = MemorySystem(platform(plat, n_cpus=2).scaled(5), aspace)
+        n = 64
+        batch = RefBatch(
+            [seg.base + 64 * k for k in range(n)],
+            [k % 3 == 0 for k in range(n)],
+            [1] * n,
+            [DataClass.RECORD] * n,
+        )
+        gc.disable()
+        try:
+            for cpu in (0, 1):
+                ms.access_batch(cpu, batch, 0, 1.0)
+            ref = weakref.ref(ms)
+            del ms
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_run_experiment_leaves_no_cyclic_garbage(self, tiny_db):
+        spec = ExperimentSpec(
+            query="Q6", platform="islands-2x8", n_procs=2,
+            tpch=TINY_TPCH, verify_results=False,
+        )
+        run_experiment(spec, db=tiny_db)  # warm every lazy allocation
+        gc.collect()
+        gc.disable()
+        try:
+            run_experiment(spec, db=tiny_db)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

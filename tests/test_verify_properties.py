@@ -1,12 +1,15 @@
-"""Property-based tests under seeded random stimulus (no external
-property-testing dependency; the fuzzer's generator is the stimulus
-source, per the verification-subsystem design).
+"""Property-based tests: state machines against independent models.
 
-Two state machines get executable specifications here:
+Three state machines get executable specifications here:
 
 * :class:`~repro.mem.cache.SetAssocCache` against a deliberately naive
   list-based LRU reference model — same observable behaviour on every
-  operation, including victim choice and eviction counters;
+  operation, including victim choice and eviction counters (seeded
+  random stimulus);
+* one CPU's whole hierarchy under the batched engine
+  (``MemorySystem.access_batch``) against a stack of those models with
+  inclusion and the next-line prefetcher, driven by hypothesis on all
+  four registered machines;
 * the MESI directory, driven by synthetic sharing traces with the
   invariant checker attached, plus an independent end-state
   recomputation of the holder bitmask.
@@ -15,12 +18,16 @@ Two state machines get executable specifications here:
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mem.cache import CacheConfig, SetAssocCache
 from repro.mem.machine import platform
 from repro.mem.memsys import MemorySystem
 from repro.mem.states import EXCLUSIVE, INVALID, MODIFIED, SHARED
-from repro.trace.synthetic import SyntheticSpec, generate
+from repro.trace.address import AddressSpace
+from repro.trace.classify import DataClass
+from repro.trace.synthetic import SyntheticSpec, batch_from_refs, generate
 from repro.verify.fuzz import FUZZ_SCALE_LOG2, drive_trace, fingerprint
 from repro.verify.invariants import checking
 
@@ -165,6 +172,169 @@ def test_invalidate_range_equals_per_line_invalidates(seed):
             expected += 1
     assert hit == expected
     assert sorted(a.resident()) == sorted(b.resident())
+
+
+class HierarchyModel:
+    """Reference model of one CPU's 1-3 level hierarchy, written from
+    the protocol's description and sharing no code with ``repro.mem``
+    (only the cache configs and state values come from there): a stack
+    of :class:`LruModel` levels, inclusion kept per adjacent pair (a
+    victim leaves every level inside it), the next-line prefetcher, and
+    the directory of a machine with one active CPU — every fetch is
+    unowned, so a read fills EXCLUSIVE and a write MODIFIED."""
+
+    def __init__(self, configs, prefetch: bool) -> None:
+        self.levels = [LruModel(c) for c in configs]
+        self.prefetch = prefetch and len(self.levels) > 1
+        self.l1_misses = 0
+        self.inner_hits = 0
+        self.coherent_misses = 0
+        self.silent_upgrades = 0
+        self.prefetch_fills = 0
+
+    @staticmethod
+    def _lines_of(level, base, size):
+        step = level.config.line_size
+        return range(base - base % step, base + size, step)
+
+    def _insert(self, li, addr, state):
+        level = self.levels[li]
+        victim = level.insert(addr, state)
+        if victim is not None:
+            size = level.config.line_size
+            for inner in self.levels[:li]:
+                for a in self._lines_of(inner, victim[0] * size, size):
+                    inner.invalidate(a)
+
+    def _fill_inward(self, addr, state, src):
+        """Install ``addr`` in every level inside ``src``, outermost first."""
+        for li in range(src - 1, -1, -1):
+            self._insert(li, addr, state)
+
+    def _restate(self, addr, state):
+        """The coherent line and every resident inner copy of it."""
+        top = self.levels[-1]
+        size = top.config.line_size
+        top.set_state(addr, state)
+        for inner in self.levels[:-1]:
+            for a in self._lines_of(inner, addr - addr % size, size):
+                if inner.peek(a) != INVALID:
+                    inner.set_state(a, state)
+
+    def access(self, addr, is_write):
+        state = self.levels[0].probe(addr)
+        if state != INVALID:
+            if is_write and state == EXCLUSIVE:
+                self._restate(addr, MODIFIED)
+                self.silent_upgrades += 1
+            return
+        self.l1_misses += 1
+        last = len(self.levels) - 1
+        for li in range(1, last + 1):
+            state = self.levels[li].probe(addr)
+            if state == INVALID:
+                continue
+            self.inner_hits += 1
+            if is_write and state == EXCLUSIVE:
+                # a hit at the coherent level restates that level only
+                if li == last:
+                    self.levels[li].set_state(addr, MODIFIED)
+                else:
+                    self._restate(addr, MODIFIED)
+                self.silent_upgrades += 1
+                state = MODIFIED
+            self._fill_inward(addr, state, li)
+            if self.prefetch:
+                step = self.levels[0].config.line_size
+                nxt = (addr // step + 1) * step
+                pstate = self.levels[li].peek(nxt)
+                if self.levels[0].peek(nxt) == INVALID and pstate != INVALID:
+                    self._fill_inward(nxt, pstate, li)
+                    self.prefetch_fills += 1
+            return
+        self.coherent_misses += 1
+        state = MODIFIED if is_write else EXCLUSIVE
+        self._insert(last, addr, state)
+        self._fill_inward(addr, state, last)
+
+
+#: One op of the hypothesis stimulus: a single reference to (line,
+#: byte offset), or a stream of ``length`` L1 lines ``stride`` apart
+#: from a line, optionally revisiting a hot line after every step — the
+#: shape that ages a line in the outer levels while the L1 keeps it.
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("ref"), st.integers(0, 255), st.integers(0, 127), st.booleans()
+        ),
+        st.tuples(
+            st.just("run"),
+            st.integers(0, 255),
+            st.integers(1, 64),
+            st.sampled_from([1, 2, 8, 16]),
+            st.booleans(),
+            st.one_of(st.none(), st.integers(0, 255)),
+        ),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+@pytest.mark.parametrize("plat", ["hpv", "sgi", "islands-2x8", "flat-smp-16"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ops=_OPS)
+def test_engine_matches_independent_hierarchy_model(plat, ops):
+    """One CPU through ``access_batch`` against :class:`HierarchyModel`
+    after every batch: per-level residency *in LRU order* with states,
+    miss / hit / silent-upgrade counts, evictions, prefetch fills."""
+    machine = platform(plat, n_cpus=2).scaled(FUZZ_SCALE_LOG2)
+    line = machine.coherence_line_size
+    l1_line = machine.caches[0].line_size
+    aspace = AddressSpace()
+    seg = aspace.alloc("model.pool", 256 * line, DataClass.RECORD, shared=True)
+    refs = []
+    for kind, start, arg, *rest in ops:
+        if kind == "ref":
+            refs.append((start * line + arg % line, rest[0]))
+            continue
+        stride, write, hot = rest
+        for k in range(arg):
+            refs.append((start * line + k * stride * l1_line, write))
+            if hot is not None:
+                refs.append((hot * line, False))
+    refs = [(seg.base + off % seg.size, w) for off, w in refs]
+    ms = MemorySystem(machine, aspace)
+    model = HierarchyModel(machine.caches, machine.prefetch_next_line)
+    real_levels = ms.hierarchies[0].levels
+    for i in range(0, len(refs), 23):
+        chunk = refs[i:i + 23]
+        ms.access_batch(0, batch_from_refs([(a, w, 1, 0) for a, w in chunk]), 0, 1.0)
+        for addr, write in chunk:
+            model.access(addr, write)
+        for real, ref in zip(real_levels, model.levels):
+            assert [list(s.items()) for s in real.hot_view()[0]] == [
+                [tuple(e) for e in s] for s in ref.sets
+            ]
+            assert (real.n_evictions, real.n_dirty_evictions) == (
+                ref.n_evictions,
+                ref.n_dirty_evictions,
+            )
+    stats = ms.stats[0]
+    assert (
+        stats.level1_misses,
+        stats.l2_hits,
+        stats.coherent_misses,
+        stats.silent_upgrades,
+        ms.n_prefetch_fills,
+    ) == (
+        model.l1_misses,
+        model.inner_hits,
+        model.coherent_misses,
+        model.silent_upgrades,
+        model.prefetch_fills,
+    )
+    assert stats.reads + stats.writes == len(refs)
 
 
 @pytest.mark.parametrize("plat", ["hpv", "sgi"])
