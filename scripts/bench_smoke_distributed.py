@@ -14,6 +14,7 @@ Usage: python scripts/bench_smoke_distributed.py [out_dir]
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import sys
@@ -22,9 +23,6 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT / "scripts"))
-
-from bench_to_json import append_datapoint  # noqa: E402
 
 from repro.config import DEFAULT_SIM  # noqa: E402
 from repro.core.executors import MultiHostExecutor  # noqa: E402
@@ -101,7 +99,8 @@ def main(argv=None) -> int:
         "degraded": report.degraded,
         "equal": not mismatches,
     }
-    append_datapoint("smoke_distributed", record, root=out_dir)
+    with open(out_dir / "BENCH_smoke_distributed.json", "w") as fh:
+        json.dump(record, fh, indent=2)
     print(f"distributed smoke: {record}")
     for line in report.summary_lines():
         print(f"  {line}")

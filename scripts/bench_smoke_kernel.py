@@ -6,8 +6,9 @@ prefetcher, islands) at 1, 2, 4 and 8 processes, at a very small scale
 factor, twice — once through the batched engine (``fast_path=True``,
 the default) and once through the per-reference specification
 (``fast_path=False``, one ``MemorySystem.access`` call per reference) —
-asserts every cell's counters and clocks are bitwise-equal, and appends
-a datapoint to a bench JSON the workflow uploads as an artifact.  This
+asserts every cell's counters and clocks are bitwise-equal, and writes
+a record to ``BENCH_smoke_kernel.json`` the workflow uploads as an
+artifact.  This
 is a *smoke* check: it proves the engine's equivalence claim holds on
 every push for real TPC-H traffic, not just synthetic fuzz traces;
 throughput numbers come from ``bench/run.py``.
@@ -18,6 +19,7 @@ Usage: python scripts/bench_smoke_kernel.py [out_dir]
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import sys
 import time
@@ -25,9 +27,6 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT / "scripts"))
-
-from bench_to_json import append_datapoint  # noqa: E402
 
 from repro.config import DEFAULT_SIM  # noqa: E402
 from repro.core.sweep import SweepRunner, figure_grid_cells  # noqa: E402
@@ -78,7 +77,8 @@ def main(argv=None) -> int:
         "cells_per_sec_fast": round(len(cells) / fast_s, 3),
         "equal": not mismatches,
     }
-    append_datapoint("smoke_kernel", record, root=out_dir)
+    with open(out_dir / "BENCH_smoke_kernel.json", "w") as fh:
+        json.dump(record, fh, indent=2)
     print(f"bench smoke (batched engine): {record}")
     if mismatches:
         print(f"engine/spec results DIVERGE for {len(mismatches)} cells:")

@@ -5,8 +5,8 @@ counts) at a very small scale factor twice — once directly on the
 serial :class:`SweepRunner`, once through a cold
 :class:`~repro.trace.store.TraceStore` so each workload is captured on
 the first machine and replayed on the second — and asserts the two
-grids are bitwise-equal.  A datapoint goes into the bench JSON the
-workflow uploads as an artifact; the trace store itself is written to
+grids are bitwise-equal.  A record goes into ``BENCH_smoke_replay.json``,
+which the workflow uploads as an artifact; the trace store itself is written to
 a separate directory that the workflow uploads only on failure, so a
 divergence ships the exact tapes that produced it.
 
@@ -15,6 +15,7 @@ Usage: python scripts/bench_smoke_replay.py [out_dir] [store_dir]
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import time
@@ -22,9 +23,6 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT / "scripts"))
-
-from bench_to_json import append_datapoint  # noqa: E402
 
 from repro.config import DEFAULT_SIM  # noqa: E402
 from repro.core.sweep import SweepRunner, figure_grid_cells  # noqa: E402
@@ -76,7 +74,8 @@ def main(argv=None) -> int:
         "trace_sources": sources,
         "equal": not mismatches,
     }
-    append_datapoint("smoke_replay", record, root=out_dir)
+    with open(out_dir / "BENCH_smoke_replay.json", "w") as fh:
+        json.dump(record, fh, indent=2)
     print(f"bench smoke: {record}")
     if mismatches:
         print(f"direct/replayed results DIVERGE for {len(mismatches)} cells:")

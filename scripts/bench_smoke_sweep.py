@@ -3,17 +3,17 @@
 Runs the complete figure grid (3 queries x 2 platforms x 5 process
 counts) at a very small scale factor twice — once on the serial
 :class:`SweepRunner`, once on a 2-job :class:`ParallelSweepRunner` —
-asserts the results are bitwise-equal, and appends a datapoint to a
-bench JSON the workflow uploads as an artifact.  This is a *smoke*
-check: it proves the parallel machinery works and results match on
-every push; the real throughput numbers come from
-``benchmarks/bench_sweep_parallel.py`` at full bench scale.
+asserts the results are bitwise-equal, and writes a record to
+``BENCH_smoke_sweep.json`` the workflow uploads as an artifact.  This
+is a *smoke* check: it proves the parallel machinery works and results
+match on every push; throughput numbers come from ``bench/run.py``.
 
 Usage: python scripts/bench_smoke_sweep.py [out_dir]
 """
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import time
@@ -21,9 +21,6 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT / "scripts"))
-
-from bench_to_json import append_datapoint  # noqa: E402
 
 from repro.config import DEFAULT_SIM  # noqa: E402
 from repro.core.executors import select_executor  # noqa: E402
@@ -76,7 +73,8 @@ def main(argv=None) -> int:
         "cells_per_sec_serial": round(len(cells) / serial_s, 3),
         "equal": not mismatches,
     }
-    append_datapoint("smoke_sweep", record, root=out_dir)
+    with open(out_dir / "BENCH_smoke_sweep.json", "w") as fh:
+        json.dump(record, fh, indent=2)
     print(f"bench smoke: {record}")
     if mismatches:
         print(f"serial/parallel results DIVERGE for {len(mismatches)} cells:")

@@ -3,7 +3,7 @@
 
 Runs every figure of the paper through the simulator, evaluates the
 paper-claim scoreboard, and writes the paper-vs-measured record the
-deliverables require.  Also refreshes the reports/ tables.
+deliverables require.  Also refreshes the reports/fig*.txt tables.
 
 Usage: python scripts/generate_experiments_md.py [--sf 0.001]
 """
@@ -78,6 +78,21 @@ DEVIATIONS = """\
   ~7x (paper ~12x) — the orderings and the Q21>>Q6 relation hold, the
   exact multiples depend on private-working-set details we can only
   approximate.
+* **Fig. 5 between 4 and 6 processes**: at SF 0.001 Q21's Origin
+  thread time dips from 1.66 M to 1.63 M cycles/1M instr between 4
+  and 6 processes before rising again at 8.  The
+  `fig5-origin-growth` claim reads 1, 2, 4 and 8 processes and holds.
+* **Fig. 9 for Q12**: at SF 0.001 Q12's V-Class mean latency rises
+  from 132.7 to 134.6 cycles between 2 and 4 processes instead of
+  dipping.  That flattening is within the 3% the `fig9-latency-bump`
+  claim allows; Q6 dips strictly.
+* **Migratory ablation**: switching the V-Class migratory
+  optimization off *lowers* Q21's open-request latency at 4 processes
+  (7,643,778 cycles with it on, 7,365,812 off), and on the ping-pong
+  microbenchmark the optimization costs 375 vs 362 cycles per handoff.
+  The mechanism the paper credits for Fig. 9 does not pay off in this
+  model; `tests/test_ablations.py` keeps the paper's direction as a
+  strict xfail.
 """
 
 
@@ -137,12 +152,11 @@ def main() -> int:
     out.append(DEVIATIONS)
     out.append(
         "\n## Ablations and microbenchmarks\n\n"
-        "Run `pytest benchmarks/ --benchmark-only` to regenerate\n"
-        "`reports/abl_line.txt` (L2 line-size/capacity ablation),\n"
-        "`reports/abl_migratory.txt` (migratory protocol on/off),\n"
-        "`reports/abl_backoff.txt` (select() backoff vs pure spin), and\n"
-        "`reports/micro_*.txt` (latency staircase, ping-pong, streaming\n"
-        "contention).\n"
+        "`tests/test_ablations.py` (tier-1) asserts the direction of every\n"
+        "ablation (L2 line size and capacity, migratory protocol, select()\n"
+        "backoff vs pure spin, DBMS home nodes, speculative replies,\n"
+        "context-switch pollution), the data-class breakdown, the RF1/RF2\n"
+        "refresh CPI band and the calibration microbenchmarks.\n"
     )
 
     (ROOT / "EXPERIMENTS.md").write_text("\n".join(out))

@@ -29,9 +29,6 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT / "scripts"))
-
-from bench_to_json import append_datapoint  # noqa: E402
 
 from repro.core.resilience import key_str  # noqa: E402
 from repro.core.resultcache import result_to_dict  # noqa: E402
@@ -144,7 +141,8 @@ def main(argv=None) -> int:
             "equal_to_serial": equal,
             "dedup_ok": dedup_ok,
         }
-        append_datapoint("smoke_service", record, root=out_dir)
+        with open(out_dir / "BENCH_smoke_service.json", "w") as fh:
+            json.dump(record, fh, indent=2)
         print(f"service smoke: {record}")
         if not equal:
             print("service/serial results DIVERGE")

@@ -15,8 +15,6 @@
 * ``trace``      — ``trace capture``/``trace replay``: record a whole
   workload's per-process tapes into the trace store, or replay them
   through any machine model (bitwise-identical counters)
-* ``capture``    — record one query's reference trace to a file
-* ``replay``     — drive a saved trace through a machine model
 * ``worker``     — sweep host worker: speak the length-prefixed JSON
   frame protocol on stdin/stdout (spawned by ``--hosts``, locally or
   as the remote end of ``ssh host repro worker``; not for interactive
@@ -39,9 +37,8 @@ Exit codes (the machine contract):
 Every ``--json`` output is a ``repro/v1`` envelope —
 ``{"schema": "repro/v1", "kind": ..., "data": {...}}`` — the same
 contract the HTTP API speaks (:mod:`repro.service.envelope`).
-``sweep`` and ``verify`` additionally mirror their ``data`` keys at
-the top level for pre-v1 consumers; those mirrors are deprecated and
-leave in ``repro/v2``.
+Under ``--json`` stdout carries only that envelope; progress lines go
+to stderr.
 """
 
 from __future__ import annotations
@@ -72,11 +69,11 @@ from .tpch.datagen import TPCHConfig, build_database
 from .tpch.queries import QUERIES
 
 
-def _print_envelope(kind: str, data: dict, compat: bool = False) -> None:
+def _print_envelope(kind: str, data: dict) -> None:
     """Print one ``repro/v1`` envelope — the single choke point every
     ``--json`` path goes through, so CLI output and HTTP responses
     cannot drift apart."""
-    print(dump_envelope(make_envelope(kind, data, compat=compat)))
+    print(dump_envelope(make_envelope(kind, data)))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -247,6 +244,8 @@ def cmd_sweep(args) -> int:
         pstats.Stats(prof).sort_stats("cumulative").print_stats(12)
         return 0
 
+    # under --json, stdout is the envelope alone
+    progress = sys.stderr if args.json else sys.stdout
     exporter = None
     sinks: List = [SweepEventRecorder()]
     if args.trace_out:
@@ -271,7 +270,8 @@ def cmd_sweep(args) -> int:
         if args.resume:
             print(
                 f"resume: {manifest.n_done} of {len(cells)} cells already "
-                f"complete in {manifest.path}"
+                f"complete in {manifest.path}",
+                file=progress,
             )
 
     report = runner.execute(
@@ -288,7 +288,8 @@ def cmd_sweep(args) -> int:
         note = f" ({dropped} dropped)" if dropped else ""
         print(
             f"traced cell {cells[0]} + sweep events -> {path} "
-            f"({exporter.n_events} events{note}); open in chrome://tracing"
+            f"({exporter.n_events} events{note}); open in chrome://tracing",
+            file=progress,
         )
 
     rc = 0 if report.ok else 1
@@ -301,7 +302,7 @@ def cmd_sweep(args) -> int:
         if manifest is not None:
             payload["manifest"] = str(manifest.path)
         payload["exit_code"] = rc
-        _print_envelope("sweep-report", payload, compat=True)
+        _print_envelope("sweep-report", payload)
         return rc
 
     rate = report.ran / report.duration_s if report.duration_s > 0 else float("inf")
@@ -373,7 +374,7 @@ def cmd_verify(args) -> int:
             "updated_golden": report.updated,
             "summary": report.summary_lines(),
             "exit_code": rc,
-        }, compat=True)
+        })
         return rc
     for line in report.summary_lines():
         print(line)
@@ -399,40 +400,6 @@ def cmd_microbench(args) -> int:
         print(f"  pingpong: {r.cycles_per_handoff:.1f} cycles/handoff, "
               f"{r.migratory_transfers} migratory transfers")
         print()
-    return 0
-
-
-def cmd_capture(args) -> int:
-    """``repro capture``: record a query trace to an .npz file."""
-    from .tpch.queries import QUERIES as _Q
-    from .trace.capture import capture_query
-    from .trace.tracefile import save_trace
-
-    db = build_database(_tpch(args))
-    qdef = _Q[args.query]
-    batches, result = capture_query(db, qdef, qdef.params())
-    save_trace(args.out, batches)
-    refs = sum(len(b) for b in batches)
-    instrs = sum(b.total_instrs for b in batches)
-    print(f"captured {args.query}: {len(batches)} batches, {refs:,} refs, "
-          f"{instrs:,} instrs, {len(result)} result rows -> {args.out}")
-    return 0
-
-
-def cmd_replay(args) -> int:
-    """``repro replay``: drive a saved trace through a machine model."""
-    from .trace.capture import replay_trace
-    from .trace.tracefile import load_trace
-
-    db = build_database(_tpch(args))
-    batches = load_trace(args.trace)
-    machine = platform(args.platform).scaled(DEFAULT_SIM.cache_scale_log2)
-    r = replay_trace(db, batches, machine)
-    print(machine.describe())
-    print(f"replayed {args.trace}: {r.cycles:,} cycles, "
-          f"{r.instructions:,} instrs, CPI {r.cpi:.3f}")
-    print(f"level1 misses: {r.stats.level1_misses:,}  "
-          f"coherent misses: {r.stats.coherent_misses:,}")
     return 0
 
 
@@ -959,19 +926,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"print a repro/v1 trace-{name} envelope")
         _add_common(tp)
         tp.set_defaults(func=func)
-
-    p = sub.add_parser("capture", help="capture a query's reference trace")
-    p.add_argument("--query", choices=sorted(QUERIES), default="Q6")
-    p.add_argument("--out", default="trace.npz")
-    _add_common(p)
-    p.set_defaults(func=cmd_capture)
-
-    p = sub.add_parser("replay", help="replay a trace on a machine model")
-    p.add_argument("--trace", default="trace.npz")
-    p.add_argument("--platform", default="hpv", metavar="NAME",
-                   help="registered machine name or machine file path")
-    _add_common(p)
-    p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser(
         "worker",

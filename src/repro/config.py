@@ -20,17 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ._deprecations import keyword_only_init
 from .errors import ConfigError
 
 
-@keyword_only_init
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SimConfig:
     """Knobs shared by every layer of the simulator.
 
-    Construct with keyword arguments; positional construction is
-    deprecated (the field order is not API).
+    Fields are keyword-only: the field order is not API.
 
     Attributes
     ----------
@@ -104,7 +101,7 @@ class SimConfig:
         return replace(self, **kwargs)
 
 
-#: Configuration used by the benchmark harness.
+#: Production configuration: figures, validation, ablations, bench/run.py.
 DEFAULT_SIM = SimConfig()
 
 #: Small configuration for unit tests: tiny quanta so scheduler paths

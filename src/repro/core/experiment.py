@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from .._deprecations import keyword_only_init
 from ..config import DEFAULT_SIM, SimConfig
 from ..cpu.counters import CounterSnapshot
 from ..db.engine import Database
@@ -35,13 +34,11 @@ from .workload import make_query_process, snapshot_process
 DEFAULT_TPCH = TPCHConfig(sf=0.002, seed=19920101)
 
 
-@keyword_only_init
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentSpec:
     """One cell of the paper's test matrix.
 
-    Construct with keyword arguments; positional construction is
-    deprecated (the field order is not API).
+    Fields are keyword-only: the field order is not API.
     """
 
     query: str = "Q6"

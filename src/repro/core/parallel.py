@@ -90,10 +90,7 @@ import logging
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from .._deprecations import warn_once
-
 from ..config import DEFAULT_SIM, SimConfig
-from ..errors import ConfigError
 from ..obs.bus import SWEEP_EVENTS, SinkRegistry
 from ..tpch.datagen import TPCHConfig
 from .executors import (  # noqa: F401  (re-exported for compatibility)
@@ -205,8 +202,7 @@ class ParallelSweepRunner(SweepRunner):
 
     Pick the execution path with
     :func:`~repro.core.executors.select_executor` and pass it as
-    ``executor=``; the ``jobs=`` kwarg is deprecated (it leaked the
-    pool-internals choice into every call site).
+    ``executor=``.
     """
 
     def __init__(
@@ -215,36 +211,13 @@ class ParallelSweepRunner(SweepRunner):
         tpch: TPCHConfig = DEFAULT_TPCH,
         verify_results: bool = False,
         cache: Optional[ResultCache] = None,
-        jobs: Optional[int] = None,
         trace_store=None,
         executor=_UNSET,
     ) -> None:
         super().__init__(
             sim, tpch, verify_results, cache=cache, trace_store=trace_store
         )
-        if executor is not _UNSET and jobs is not None:
-            raise ConfigError(
-                "pass either executor= or the deprecated jobs=, not both"
-            )
-        if jobs is not None:
-            warn_once(
-                "parallel-jobs-kwarg",
-                "ParallelSweepRunner(jobs=...) is deprecated and will be "
-                "removed in v2 (see repro._deprecations.REMOVALS); pass "
-                "executor=select_executor(jobs=...) instead",
-            )
-            self.executor = select_executor(jobs=jobs)
-        elif executor is not _UNSET:
-            self.executor = executor
-        else:
-            self.executor = select_executor()
-        #: Worker-lane count, retained for log messages and reports.
-        if jobs is not None and jobs > 0:
-            self.jobs = jobs
-        elif self.executor is not None:
-            self.jobs = self.executor.plan_workers(1 << 30)
-        else:
-            self.jobs = 1
+        self.executor = select_executor() if executor is _UNSET else executor
 
     def prewarm(self, cells: Iterable[Sequence]) -> int:
         report = self.execute(cells)
@@ -389,8 +362,8 @@ class ParallelSweepRunner(SweepRunner):
         if self.executor is None or len(missing) == 1:
             logger.info(
                 "sweep: %d missing cell(s) routed to serial in-process "
-                "execution (jobs=%d) — skipping pool/pickle overhead",
-                len(missing), self.jobs if self.executor is None else 1,
+                "execution — skipping pool/pickle overhead",
+                len(missing),
             )
             run_serial(missing)
             report.duration_s = time.perf_counter() - t0

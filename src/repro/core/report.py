@@ -1,6 +1,6 @@
 """Plain-text rendering of regenerated figures.
 
-The benchmark harness prints these tables; EXPERIMENTS.md embeds them.
+``repro figures`` prints these tables; EXPERIMENTS.md embeds them.
 Numbers are formatted compactly (engineering suffixes for counters,
 fixed precision for rates).
 """

@@ -52,12 +52,12 @@ import hashlib
 import json
 import multiprocessing
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..atomicfile import atomic_write
 from ..errors import ConfigError
 from .experiment import ExperimentResult, ExperimentSpec, run_experiment
 from .resultcache import ResultCache
@@ -507,24 +507,7 @@ class CheckpointManifest:
         }
 
     def save(self) -> None:
-        """Atomically write the manifest (unique tmp + rename).
-
-        The tmp name must be unique per writer: a sweep coordinator
-        and a worker on another host may checkpoint the same sweep on
-        a shared directory, and a *shared* tmp path would let their
-        writes interleave into a torn file before the rename."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(self.path.parent), prefix=f".{self.path.name}.",
-            suffix=".tmp",
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(self.to_dict(), sort_keys=True))
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        """Atomically write the manifest (see
+        :func:`~repro.atomicfile.atomic_write`)."""
+        text = json.dumps(self.to_dict(), sort_keys=True)
+        atomic_write(self.path, lambda fh: fh.write(text))

@@ -21,13 +21,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import warnings
 from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
+from ..atomicfile import atomic_write
 from ..cpu.counters import CounterSnapshot
 from ..mem.machine import platform
 from ..obs.schema import SCHEMA_VERSION
@@ -201,30 +201,12 @@ class ResultCache:
 
     def put(self, spec: ExperimentSpec, result: ExperimentResult) -> Path:
         path = self._path(spec)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Unique tmp per writer (mkstemp opens O_EXCL), then an atomic
-        # rename: multiple hosts writing the same cell to a shared
-        # cache directory race benignly — last rename wins with a
-        # complete file, and a shared ".tmp" name can never interleave
-        # two writers into a torn entry.  Dotted tmp names also stay
-        # invisible to the "*.json" glob in :meth:`__len__`.
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                # Canonical key order: a result that crossed the wire
-                # (whose dicts arrive sorted) must serialize to the
-                # same bytes as one computed in-process, so distributed
-                # and serial sweeps stay bitwise-comparable.
-                fh.write(json.dumps(result_to_dict(result), sort_keys=True))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        # Canonical key order: a result that crossed the wire (whose
+        # dicts arrive sorted) must serialize to the same bytes as one
+        # computed in-process, so distributed and serial sweeps stay
+        # bitwise-comparable.
+        text = json.dumps(result_to_dict(result), sort_keys=True)
+        atomic_write(path, lambda fh: fh.write(text))
         return path
 
     @property

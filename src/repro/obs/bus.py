@@ -16,8 +16,8 @@ makes observation a protocol:
   membership changes without being reinstalled.
 * Attachment still works by method shadowing inside the component —
   that is what makes a component with *no* sinks run the exact
-  unhooked bytecode (the ≤2% bar of
-  ``benchmarks/bench_verify_overhead.py``).  The bus standardizes the
+  unhooked bytecode (last measured at 1.004× pristine; see
+  ``docs/METHODOLOGY.md`` §6).  The bus standardizes the
   registration, dispatch, and teardown around that mechanism instead
   of each consumer reinventing it.
 

@@ -19,14 +19,8 @@ HTTP API and every CLI path.  That contract is:
 * ``data`` — the payload, a JSON object.  Everything the consumer
   reads lives here.
 
-**Compat shim.**  Pre-v1 consumers of ``repro sweep --json`` and
-``repro verify --json`` read top-level keys (``ok``, ``total``,
-``exit_code``, ...).  :func:`make_envelope` with ``compat=True``
-mirrors every ``data`` key at the top level of the envelope and
-records the fact under ``"deprecated"`` — those mirrored keys are the
-old shapes on a deprecation cycle and will be dropped when ``repro/v2``
-lands (see :mod:`repro._deprecations`).  Validation ignores the
-mirrors: the contract is ``schema``/``kind``/``data`` only.
+Those three keys are the whole envelope: :func:`validate_envelope`
+rejects any other top-level key.
 
 Error responses are envelopes too (:func:`error_envelope`,
 ``kind="error"``): a typed ``code`` drawn from :data:`ERROR_CODES` —
@@ -82,28 +76,14 @@ ERROR_CODES = {
     "internal": 500,
 }
 
-#: Note attached next to compat-mirrored keys.
-DEPRECATION_NOTE = (
-    "top-level keys other than schema/kind/data mirror data/* for "
-    "pre-v1 consumers and will be removed in repro/v2; read data/* instead"
-)
-
-
 class EnvelopeError(ReproError):
     """A JSON document does not satisfy the ``repro/v1`` envelope
-    contract (missing/mistyped ``schema``/``kind``/``data``, unknown
-    kind, malformed error payload)."""
+    contract (missing/mistyped ``schema``/``kind``/``data``, an extra
+    top-level key, unknown kind, malformed error payload)."""
 
 
-def make_envelope(kind: str, data: dict, compat: bool = False) -> dict:
-    """Wrap ``data`` in a v1 envelope.
-
-    With ``compat=True`` every ``data`` key is also mirrored at the top
-    level (unless it would shadow an envelope field) and the envelope
-    carries the :data:`DEPRECATION_NOTE` under ``"deprecated"`` — the
-    shim that keeps pre-envelope consumers of ``sweep``/``verify``
-    ``--json`` working for one deprecation cycle.
-    """
+def make_envelope(kind: str, data: dict) -> dict:
+    """Wrap ``data`` in a v1 envelope."""
     if kind not in ENVELOPE_KINDS:
         raise EnvelopeError(
             f"unknown envelope kind {kind!r}; known: {', '.join(ENVELOPE_KINDS)}"
@@ -111,13 +91,7 @@ def make_envelope(kind: str, data: dict, compat: bool = False) -> dict:
     if not isinstance(data, dict):
         raise EnvelopeError(f"envelope data must be a JSON object, got "
                             f"{type(data).__name__}")
-    env = {"schema": SCHEMA_V1, "kind": kind, "data": data}
-    if compat:
-        for key, value in data.items():
-            if key not in ("schema", "kind", "data", "deprecated"):
-                env[key] = value
-        env["deprecated"] = DEPRECATION_NOTE
-    return env
+    return {"schema": SCHEMA_V1, "kind": kind, "data": data}
 
 
 def error_envelope(code: str, error: str, detail: Optional[dict] = None) -> dict:
@@ -142,8 +116,7 @@ def validate_envelope(obj, kind: Optional[str] = None) -> dict:
 
     ``obj`` may be a dict or a JSON string.  ``kind`` (optional) pins
     the expected payload kind.  Raises :class:`EnvelopeError` with the
-    first defect found; compat-mirrored top-level keys are permitted
-    and ignored.
+    first defect found.
     """
     if isinstance(obj, (str, bytes)):
         try:
@@ -153,6 +126,12 @@ def validate_envelope(obj, kind: Optional[str] = None) -> dict:
     if not isinstance(obj, dict):
         raise EnvelopeError(
             f"envelope must be a JSON object, got {type(obj).__name__}"
+        )
+    extra = sorted(set(obj) - {"schema", "kind", "data"})
+    if extra:
+        raise EnvelopeError(
+            f"unexpected top-level key(s) {', '.join(map(repr, extra))}; "
+            f"the envelope is schema/kind/data only"
         )
     schema = obj.get("schema")
     if schema != SCHEMA_V1:

@@ -33,14 +33,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from ..atomicfile import atomic_write
 from ..config import DEFAULT_SIM, SimConfig
 from ..errors import ConfigError, ReproError
 from ..core.sweep import CellKey, normalize_cell
@@ -326,26 +325,12 @@ class JobQueue:
         return self.jobs_dir / f"{job_id}.json"
 
     def _persist(self, job: Job) -> None:
-        """Atomic journal write (unique tmp + rename), same discipline
-        as the result cache and checkpoint manifest.  Called with the
-        lock held, so the file on disk never runs behind a state a
-        waiter has already seen (and two writers cannot rename out of
-        order)."""
-        self.jobs_dir.mkdir(parents=True, exist_ok=True)
-        path = self._job_path(job.id)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(self.jobs_dir), prefix=f".{path.name}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(job.to_dict(), sort_keys=True))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        """Atomic journal write (see
+        :func:`~repro.atomicfile.atomic_write`).  Called with the lock
+        held, so the file on disk never runs behind a state a waiter
+        has already seen (and two writers cannot rename out of order)."""
+        text = json.dumps(job.to_dict(), sort_keys=True)
+        atomic_write(self._job_path(job.id), lambda fh: fh.write(text))
 
     def recover(self) -> List[Job]:
         """Reload the journal after a restart.

@@ -3,7 +3,6 @@
 from .address import SEGMENT_ALIGN, AddressSpace, Segment
 from .classify import CLASS_NAMES, NUM_CLASSES, DataClass, class_name
 from .stream import RefBatch, RefBuilder, single
-from .tracefile import load_trace, save_trace
 
 # NOTE: trace.capture sits above the cpu/db layers and must be imported
 # as `repro.trace.capture` directly; re-exporting it here would create
@@ -20,6 +19,4 @@ __all__ = [
     "RefBatch",
     "RefBuilder",
     "single",
-    "save_trace",
-    "load_trace",
 ]

@@ -35,8 +35,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import warnings
 import zipfile
 from dataclasses import asdict
@@ -45,6 +43,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..atomicfile import atomic_write
 from ..errors import TraceError
 from ..tpch.datagen import TPCHConfig
 from .capture import TapeOp, WorkloadTrace
@@ -337,29 +336,12 @@ class TraceStore:
         return trace
 
     def put(self, spec, trace: WorkloadTrace) -> Path:
-        """Persist a captured trace (unique tmp + atomic rename).
-
-        The tmp file is per-writer (``mkstemp`` opens it O_EXCL): two
-        hosts capturing the same workload against a shared store race
-        benignly — last rename wins with a complete archive — where a
-        shared ``.tmp`` name would interleave their bytes into a torn
-        file."""
+        """Persist a captured trace (see :func:`~repro.atomicfile.atomic_write`)."""
         fp = workload_fingerprint(spec)
         path = self.directory / f"{fp}.trace.npz"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp"
+        atomic_write(
+            path, lambda f: np.savez_compressed(f, **trace_to_npz_dict(trace)), "wb"
         )
-        try:
-            with os.fdopen(fd, "wb") as f:
-                np.savez_compressed(f, **trace_to_npz_dict(trace))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
         return path
 
     def discard(self, spec, reason: str) -> None:

@@ -34,8 +34,7 @@ from .classify import DataClass
 
 Ref = Tuple[int, bool, int, int]
 
-#: Canonical dtypes of the four columns — shared by :meth:`RefBatch.columns`
-#: and the ``.npz`` trace format (:mod:`repro.trace.tracefile`).
+#: Canonical dtypes of the four columns of :meth:`RefBatch.columns`.
 COLUMN_DTYPES = (np.int64, np.bool_, np.int64, np.uint8)
 
 

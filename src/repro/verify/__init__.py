@@ -107,8 +107,8 @@ def _run_smoke() -> Tuple[bool, str]:
     """Run the smoke cells with the array-verification checker on the
     deferred observation channel — the batched engine stays active, so
     this checks the exact configuration the experiments run, at a ~1.4×
-    overhead instead of the per-transition checker's ~5×
-    (``BENCH_verify_overhead.json``).  The fuzzer still exercises the
+    overhead instead of the per-transition checker's ~5× (see
+    ``docs/METHODOLOGY.md`` §6).  The fuzzer still exercises the
     per-transition checker on its ``slow/checked`` leg."""
     # Imported here so ``repro.verify`` stays importable without the
     # full experiment stack loaded at module import time.

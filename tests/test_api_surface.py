@@ -3,9 +3,8 @@
 ``repro.api.__all__`` is the supported import surface; the snapshot
 below must be edited *deliberately* whenever the API grows or shrinks
 (that edit showing up in review is the point).  The facade must import
-warning-free, and positional construction of the config dataclasses —
-whose field order is explicitly not API — must raise a
-``DeprecationWarning`` without changing behaviour.
+warning-free, and the config dataclasses — whose field order is
+explicitly not API — must refuse positional construction.
 """
 
 from __future__ import annotations
@@ -133,16 +132,13 @@ class TestFacade:
 
 
 class TestKeywordOnlyConstruction:
-    def test_positional_simconfig_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="keyword"):
-            cfg = SimConfig(0xD55)
-        assert cfg.seed == 0xD55
-        assert cfg == SimConfig(seed=0xD55)
+    def test_positional_simconfig_raises(self):
+        with pytest.raises(TypeError):
+            SimConfig(1)
 
-    def test_positional_spec_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="keyword"):
-            spec = ExperimentSpec("Q6", "sgi")
-        assert (spec.query, spec.platform) == ("Q6", "sgi")
+    def test_positional_spec_raises(self):
+        with pytest.raises(TypeError):
+            ExperimentSpec("Q6")
 
     def test_keyword_construction_is_silent(self):
         with warnings.catch_warnings():
@@ -151,6 +147,7 @@ class TestKeywordOnlyConstruction:
             ExperimentSpec(query="Q6", platform="hpv", n_procs=2)
 
     def test_frozen_and_post_init_survive_the_shim(self):
+        """``kw_only`` keeps the frozen dataclass's guarantees."""
         from repro.errors import ConfigError
 
         spec = ExperimentSpec(query="Q6")

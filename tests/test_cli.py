@@ -15,7 +15,7 @@ class TestParser:
         )
         assert set(sub.choices) == {
             "run", "sweep", "figures", "validate", "microbench", "describe",
-            "capture", "replay", "verify", "trace", "worker", "machines",
+            "verify", "trace", "worker", "machines",
             "serve", "submit", "status", "fetch",
         }
 
@@ -152,7 +152,7 @@ class TestCommands:
         rc = main(["sweep", "--query", "Q6", "--platform", "hpv",
                    "--procs", "1", "--sf", "0.0004", "--json"])
         out = capsys.readouterr().out
-        payload = json.loads(out[out.index("{"):])
+        payload = json.loads(out)["data"]
         assert rc == 0
         assert payload["ok"] and payload["exit_code"] == 0
         assert payload["total"] == 1 and payload["failed_cells"] == []
@@ -165,7 +165,7 @@ class TestCommands:
         rc = main(["sweep", "--query", "Q6", "--platform", "hpv",
                    "--procs", "64", "--sf", "0.0004", "--json"])
         out = capsys.readouterr().out
-        payload = json.loads(out[out.index("{"):])
+        payload = json.loads(out)["data"]
         assert rc == 1
         assert not payload["ok"] and payload["exit_code"] == 1
         (failed,) = payload["failed_cells"]
@@ -187,6 +187,21 @@ class TestCommands:
         err = capsys.readouterr().err
         assert rc == 2
         assert "error:" in err and "RF1" in err
+
+    def test_sweep_json_stdout_is_the_envelope_alone(self, capsys, tmp_path):
+        """``--resume`` and ``--trace-out`` progress lines go to stderr
+        under ``--json``, so all of stdout parses as one envelope."""
+        argv = ["sweep", "--query", "Q6", "--platform", "hpv", "--procs",
+                "1", "--sf", "0.0004", "--cache-dir", str(tmp_path / "c")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        rc = main(argv + ["--resume", "--json",
+                          "--trace-out", str(tmp_path / "t.json")])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert json.loads(captured.out)["data"]["ok"]
+        assert "resume: 1 of 1 cells" in captured.err
+        assert "traced cell" in captured.err
 
     def test_sweep_trace_out_includes_sweep_events(self, capsys, tmp_path):
         trace = tmp_path / "cell.trace.json"
@@ -223,7 +238,7 @@ class TestCommands:
             rc = main(argv)
             out = capsys.readouterr().out
             assert rc == 0, (argv, out)
-            env = validate_envelope(out[out.index("{"):], kind=kind)
+            env = validate_envelope(out, kind=kind)
             assert env["schema"] == "repro/v1"
 
     def test_machines_json_payloads(self, capsys):
@@ -239,15 +254,3 @@ class TestCommands:
         rc = main(["machines", "validate", "hpv", "--json"])
         env = validate_envelope(capsys.readouterr().out)
         assert rc == 0 and env["data"]["ok"]
-
-    def test_capture_replay_roundtrip(self, capsys, tmp_path):
-        trace = str(tmp_path / "q6.npz")
-        rc = main(["capture", "--query", "Q6", "--sf", "0.0004",
-                   "--out", trace])
-        assert rc == 0
-        assert "captured Q6" in capsys.readouterr().out
-        rc = main(["replay", "--trace", trace, "--platform", "sgi",
-                   "--sf", "0.0004"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "CPI" in out and "coherent misses" in out

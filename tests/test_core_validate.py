@@ -1,8 +1,8 @@
 """Paper-claim validation machinery.
 
-The full scoreboard at production scale runs in the benchmark harness;
-here we check the machinery itself plus a few cheap claims at tiny
-scale.
+The full scoreboard at SF 0.001 is ``python -m repro validate`` (and
+EXPERIMENTS.md); here we check the machinery itself plus the claims at
+tiny scale.
 """
 
 import pytest
@@ -53,8 +53,8 @@ class TestEvaluation:
         results = validate_all(runner)
         held = [r.claim_id for r in results if r.holds]
         failed = [r.claim_id for r in results if not r.holds]
-        # the production-scale board (benchmarks) must be perfect; at
-        # tiny test scale allow at most two marginal shape misses
+        # the SF 0.001 board (EXPERIMENTS.md) must be perfect; at tiny
+        # test scale allow at most two marginal shape misses
         assert len(failed) <= 2, f"failed claims: {failed}"
         assert "fig2b-origin-more-cycles" in held
         assert "fig10-voluntary" in held

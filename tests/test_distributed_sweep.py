@@ -142,7 +142,7 @@ class TestDistributedEqualsSerial:
         rc = main(args + ["--hosts", "local,local",
                           "--cache-dir", str(dist_dir), "--json"])
         out = capsys.readouterr().out
-        payload = json.loads(out[out.index("{"):])
+        payload = json.loads(out)["data"]
         assert rc == 0 and payload["ok"]
 
         ref_dir = tmp_path / "serial"
@@ -157,7 +157,7 @@ class TestDistributedEqualsSerial:
         rc = main(["sweep", "--query", "Q6", "--platform", "hpv",
                    "--procs", "1", "--sf", "0.0004", "--json"])
         out = capsys.readouterr().out
-        payload = json.loads(out[out.index("{"):])
+        payload = json.loads(out)["data"]
         assert rc == 0 and payload["ok"] and payload["total"] == 1
 
 
@@ -301,7 +301,7 @@ class TestDistributedResumeAfterKill:
         rc = main(DIST_SWEEP_ARGS
                   + ["--cache-dir", str(cache_dir), "--resume", "--json"])
         out = capsys.readouterr().out
-        payload = json.loads(out[out.index("{"):])
+        payload = json.loads(out)["data"]
         assert rc == 0 and payload["ok"]
         assert payload["memoized"] == 1 and payload["ran"] == 1
         assert payload["cache"]["hits"] == 1

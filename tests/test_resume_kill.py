@@ -102,7 +102,7 @@ class TestResumeAfterKill:
             SWEEP_ARGS + ["--cache-dir", str(cache_dir), "--resume", "--json"]
         )
         out = capsys.readouterr().out
-        payload = json.loads(out[out.index("{"):])
+        payload = json.loads(out)["data"]
         assert rc == 0 and payload["ok"]
         # the completed cell came from the cache, only the frozen one ran
         assert payload["memoized"] == 1 and payload["ran"] == 1
@@ -132,8 +132,9 @@ class TestResumeAfterKill:
         rc = main(
             SWEEP_ARGS + ["--cache-dir", str(cache_dir), "--resume", "--json"]
         )
-        out = capsys.readouterr().out
-        assert "resume: 2 of 2 cells already complete" in out
-        payload = json.loads(out[out.index("{"):])
+        captured = capsys.readouterr()
+        # progress goes to stderr: stdout is the envelope alone
+        assert "resume: 2 of 2 cells already complete" in captured.err
+        payload = json.loads(captured.out)["data"]
         assert rc == 0
         assert payload["ran"] == 0 and payload["memoized"] == 2

@@ -82,13 +82,11 @@ class TestEnvelope:
         with pytest.raises(EnvelopeError, match="expected kind"):
             validate_envelope(env, kind="error")
 
-    def test_compat_mirrors_data_and_is_still_valid(self):
-        env = make_envelope("sweep-report", {"ok": True, "total": 3},
-                            compat=True)
-        assert env["ok"] is True and env["total"] == 3
-        assert "deprecated" in env
-        validated = validate_envelope(env, kind="sweep-report")
-        assert validated["data"] == {"ok": True, "total": 3}
+    def test_extra_top_level_key_rejected(self):
+        env = make_envelope("sweep-report", {"ok": True})
+        assert set(env) == {"schema", "kind", "data"}
+        with pytest.raises(EnvelopeError, match="'ok'"):
+            validate_envelope({**env, "ok": True})
 
     def test_error_envelope_maps_status(self):
         env = error_envelope("not-ready", "still running", {"state": "running"})

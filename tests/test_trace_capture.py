@@ -7,7 +7,6 @@ from repro.core.experiment import ExperimentSpec, _normalize, run_experiment
 from repro.errors import TraceError
 from repro.mem.machine import hp_v_class, sgi_origin_2000
 from repro.trace.capture import capture_query, replay_trace
-from repro.trace.tracefile import load_trace, save_trace
 from repro.tpch.queries import QUERIES
 
 from tests.conftest import TINY_TPCH
@@ -102,16 +101,3 @@ class TestReplay:
         batches, _ = q6_trace
         r = replay_trace(small_db, batches, hp_v_class().scaled(5))
         assert 1.2 < r.cpi < 2.0
-
-
-class TestRoundtripThroughFile(object):
-    def test_save_load_replay(self, small_db, q6_trace, tmp_path):
-        batches, _ = q6_trace
-        path = tmp_path / "q6.npz"
-        save_trace(path, batches)
-        loaded = load_trace(path)
-        machine = hp_v_class().scaled(5)
-        a = replay_trace(small_db, batches, machine)
-        b = replay_trace(small_db, loaded, machine)
-        assert a.cycles == b.cycles
-        assert a.stats.level1_misses == b.stats.level1_misses
