@@ -18,7 +18,7 @@ from repro.config import DEFAULT_SIM  # noqa: E402
 from repro.core.figures import FIGURES  # noqa: E402
 from repro.core.report import render_table  # noqa: E402
 from repro.core.sweep import SweepRunner  # noqa: E402
-from repro.core.validate import CLAIMS, validate_all  # noqa: E402
+from repro.core.validate import format_measured, validate_all  # noqa: E402
 from repro.tpch.datagen import TPCHConfig  # noqa: E402
 from repro.core.experiment import DatabaseCache  # noqa: E402
 
@@ -63,29 +63,28 @@ DEVIATIONS = """\
   self-throttles (slowed processes issue requests more slowly), so the
   growth is strong but closer to linear.  The monotone rise and the
   V-Class contrast (the figure's point) reproduce.
-* **Fig. 9 dip sensitivity**: the paper shows the 2->4-process latency
-  dip for all three queries.  Our dip rests on the same mechanism (the
-  first sharer of an exclusive line pays the intervention; later
-  sharers are served from memory) and appears clearly at most scales,
-  but it is delicate: for Q21 the growing buffer-header ping-pong
-  nearly cancels it, and for the sequential queries the dip's size
-  depends on how far the trailing scanner drifts behind the leader (if
+* **Fig. 9 at SF 0.001**: the paper shows the 2->4-process latency
+  dip for all three queries.  `fig9-latency-bump` requires the 1->2
+  bump (over 1.1x) for every query and a strict 2->4 dip for the
+  sequential queries Q6 and Q12; Q21 may flatten to within 6 %, since
+  its growing buffer-header ping-pong nearly cancels the relief.  At
+  SF 0.001 (seed 19920101) Q12's V-Class mean latency goes 103.0 ->
+  132.7 -> 134.6 cycles at 1/2/4 processes: the bump shows, the dip
+  does not, so the claim fails at this scale.  The dip rests on the
+  paper's mechanism (the first sharer of an exclusive line pays the
+  intervention; later sharers are served from memory), but its size
+  depends on how far the trailing scanner drifts behind the leader: if
   it escapes the leader's cache window, interventions stop on their
-  own).  The scoreboard requires the 1->2 bump strictly and accepts a
-  flat 2->4 within 3% as long as at least one sequential query dips
-  strictly.
+  own.  At the tier-1 scales the claim holds; the tightest margin is
+  Q21 at SF 0.0008, 152.3 -> 160.8 cycles against a 161.4 bound.
 * **Fig. 4 ratios**: measured Q6 SGI-L1/HPV ~1.6x (paper 2.3x) and Q21
-  ~7x (paper ~12x) — the orderings and the Q21>>Q6 relation hold, the
+  ~8x (paper ~12x) — the orderings and the Q21>>Q6 relation hold, the
   exact multiples depend on private-working-set details we can only
   approximate.
 * **Fig. 5 between 4 and 6 processes**: at SF 0.001 Q21's Origin
   thread time dips from 1.66 M to 1.63 M cycles/1M instr between 4
   and 6 processes before rising again at 8.  The
   `fig5-origin-growth` claim reads 1, 2, 4 and 8 processes and holds.
-* **Fig. 9 for Q12**: at SF 0.001 Q12's V-Class mean latency rises
-  from 132.7 to 134.6 cycles between 2 and 4 processes instead of
-  dipping.  That flattening is within the 3% the `fig9-latency-bump`
-  claim allows; Q6 dips strictly.
 * **Migratory ablation**: switching the V-Class migratory
   optimization off *lowers* Q21's open-request latency at 4 processes
   (7,643,778 cycles with it on, 7,365,812 off), and on the ping-pong
@@ -130,8 +129,8 @@ def main() -> int:
     for res in results:
         mark = "✅" if res.holds else "❌"
         out.append(
-            f"| {res.claim_id} — {res.statement} | {res.figure} | {mark} "
-            f"| {res.measured} |"
+            f"| {res.claim_id} — “{res.statement}” | {res.figure} | {mark} "
+            f"| {format_measured(res.measured)} |"
         )
     passed = sum(r.holds for r in results)
     out.append(f"\n**{passed}/{len(results)} claims reproduced.**\n")

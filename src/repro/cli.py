@@ -5,7 +5,7 @@
 * ``run``        — run one experiment cell and print its counters
 * ``sweep``      — run sweep cells resiliently (checkpoint/resume)
 * ``figures``    — regenerate paper figures (all or a selection)
-* ``validate``   — evaluate the paper-claim scoreboard
+* ``validate``   — evaluate every paper claim and print its numbers
 * ``verify``     — coherence invariants + differential fuzz + goldens
 * ``microbench`` — run the calibration microbenchmarks
 * ``describe``   — print machine and database configurations
@@ -59,7 +59,7 @@ from .core.report import render_table
 from .core.resilience import CheckpointManifest, RetryPolicy
 from .core.resultcache import ResultCache, spec_fingerprint
 from .core.sweep import SweepRunner, figure_grid_cells
-from .core.validate import scoreboard, validate_all
+from .core.validate import CELLS, scoreboard, validate_all
 from .errors import ConfigError
 from .mem.machine import platform
 from .mem.registry import REGISTRY, validate_machine
@@ -341,8 +341,8 @@ def cmd_validate(args) -> int:
     """``repro validate``: claim scoreboard; exit 1 on any miss."""
     runner = _make_runner(args)
     if isinstance(runner, ParallelSweepRunner):
-        # the claim checks read all over the matrix; warm it in parallel
-        runner.prewarm(figure_grid_cells())
+        # warm exactly the cells the claims read, in parallel
+        runner.prewarm(CELLS)
     results = validate_all(runner)
     print(scoreboard(results))
     _report_cache(runner)
@@ -830,7 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_opts(p)
     p.set_defaults(func=cmd_figures)
 
-    p = sub.add_parser("validate", help="evaluate the paper-claim scoreboard")
+    p = sub.add_parser("validate", help="evaluate every paper claim and print its numbers")
     _add_common(p)
     _add_sweep_opts(p)
     p.set_defaults(func=cmd_validate)

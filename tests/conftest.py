@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import TEST_SIM
+from repro.core.validate import CLAIMS
 from repro.db.engine import Database
 from repro.mem.cache import CacheConfig
 from repro.mem.machine import hp_v_class, sgi_origin_2000
@@ -53,6 +54,17 @@ def sgi():
 def tiny_cache_config():
     """A 4-set, 2-way, 32 B-line cache: easy to reason about exactly."""
     return CacheConfig("tiny", 4 * 2 * 32, 32, 2)
+
+
+def assert_claims(runner, *claim_ids: str) -> None:
+    """Evaluate registry claims by id; fail with each miss's numbers."""
+    by_id = {c.claim_id: c for c in CLAIMS}
+    misses = {}
+    for claim_id in claim_ids:
+        measured = by_id[claim_id].measure(runner)
+        if not by_id[claim_id].holds(measured):
+            misses[claim_id] = measured
+    assert not misses, f"claims missed: {misses}"
 
 
 def fresh_database() -> Database:

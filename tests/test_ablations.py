@@ -4,7 +4,8 @@ the numbers the way the paper's argument says they do.
 Each ablation switches one mechanism (a protocol feature, a machine
 parameter, a scheduler policy) and asserts the direction of the
 effect; the supplementary tests cover the data-class breakdown, the
-refresh functions, the Fig. 7 step for Q21 and the latency staircase.
+refresh functions, the Fig. 7 largest-step claim and the latency
+staircase.
 All run at ``TPCHConfig(sf=0.001, seed=19920101)`` with the production
 ``DEFAULT_SIM``.  Cells on the unmodified paper machines come from one
 module-scoped :class:`SweepRunner`, so a baseline leg that several
@@ -15,6 +16,8 @@ tests share runs once; variant machines and configs run through
 from dataclasses import replace
 
 import pytest
+
+from tests.conftest import assert_claims
 
 from repro.config import DEFAULT_SIM
 from repro.core import metrics
@@ -195,16 +198,9 @@ def test_refresh_functions_cpi_in_band(runner, fn, plat):
 
 def test_fig7_q21_largest_step_is_1_to_2(runner):
     """'the largest increase in thread time results from an increase in
-    the number of query processors from 1 to 2' — at this scale for
-    Q21 too (tests/test_integration_paper_claims.py asserts it for the
-    sequential queries)."""
-    def cpm(n):
-        res = runner.cell("Q21", "hpv", n)
-        return metrics.cycles_per_million(res.mean, res.machine)
-
-    v1, v2, v4 = cpm(1), cpm(2), cpm(4)
-    assert v2 - v1 > 0
-    assert v2 - v1 >= v4 - v2
+    the number of query processors from 1 to 2': the registry claim, at
+    this scale for Q21 as well as the sequential queries."""
+    assert_claims(runner, "fig7-largest-step-1-to-2")
 
 
 # ---------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Seed robustness: the key paper shapes must not be artifacts of one
 particular generated dataset.
 
-Runs the most load-bearing claims on a *different* data seed (and a
-slightly different scale) than every other suite uses.
+Evaluates the most load-bearing registry claims (``repro.core.validate``)
+on a *different* data seed (and a slightly different scale) than every
+other suite uses, with the registry's thresholds.
 """
 
 import pytest
 
+from tests.conftest import assert_claims
+
 from repro.config import DEFAULT_SIM
-from repro.core import metrics
 from repro.core.sweep import SweepRunner
 from repro.tpch.datagen import TPCHConfig
 
@@ -21,46 +23,20 @@ def runner():
 
 
 def test_fig2_shapes(runner):
-    for q in ("Q6", "Q21"):
-        one_hpv = runner.cell(q, "hpv", 1).mean.cycles
-        one_sgi = runner.cell(q, "sgi", 1).mean.cycles
-        assert abs(one_hpv - one_sgi) / max(one_hpv, one_sgi) < 0.2
-        assert runner.cell(q, "sgi", 8).mean.cycles > runner.cell(q, "hpv", 8).mean.cycles
+    assert_claims(runner, "fig2a-equal-cycles", "fig2b-origin-more-cycles")
 
 
 def test_fig4_ratios(runner):
-    r_q6 = (
-        runner.cell("Q6", "sgi", 1).mean.level1_misses
-        / runner.cell("Q6", "hpv", 1).mean.level1_misses
-    )
-    r_q21 = (
-        runner.cell("Q21", "sgi", 1).mean.level1_misses
-        / runner.cell("Q21", "hpv", 1).mean.level1_misses
-    )
-    assert r_q6 > 1.2
-    assert r_q21 > 3 * r_q6
-    sgi = runner.cell("Q21", "sgi", 1).mean
-    assert sgi.coherent_misses < runner.cell("Q21", "hpv", 1).mean.level1_misses
+    assert_claims(runner, "fig4-q6-ratio", "fig4-q21-ratio", "fig4-q21-l2")
 
 
 def test_fig6_comm_majority_for_q21(runner):
-    assert metrics.comm_miss_fraction(runner.cell("Q21", "sgi", 8).mean) > 0.5
-    assert metrics.comm_miss_fraction(runner.cell("Q6", "sgi", 8).mean) < 0.5
+    assert_claims(runner, "fig6-comm-major")
 
 
 def test_fig9_bump_and_dip(runner):
-    for q in ("Q6", "Q12"):
-        lat = {
-            n: metrics.mean_memory_latency_cycles(runner.cell(q, "hpv", n).mean)
-            for n in (1, 2, 4)
-        }
-        assert lat[2] > 1.1 * lat[1]
-        assert lat[4] < lat[2]
+    assert_claims(runner, "fig9-latency-bump")
 
 
 def test_fig10_voluntary_growth(runner):
-    for q in ("Q6", "Q21"):
-        m1 = runner.cell(q, "hpv", 1).mean
-        m8 = runner.cell(q, "hpv", 8).mean
-        assert m1.vol_switches == 0
-        assert m8.vol_switches > m8.invol_switches
+    assert_claims(runner, "fig10-voluntary")
