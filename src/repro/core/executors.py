@@ -52,6 +52,7 @@ from .resilience import run_cell_guarded
 from .resultcache import ResultCache, result_from_dict
 from .sweep import CellKey
 from .wire import (
+    CodeVersionError,
     WireError,
     WorkerContext,
     cells_to_wire,
@@ -467,7 +468,7 @@ class SubprocessHostExecutor(SweepExecutor):
 
     # -- reader thread ------------------------------------------------------
     def _read_loop(self, proc: subprocess.Popen) -> None:
-        error = ""
+        error, cause = "", None
         try:
             while True:
                 message = read_frame(proc.stdout)
@@ -475,7 +476,7 @@ class SubprocessHostExecutor(SweepExecutor):
                     break
                 self._handle(message)
         except WireError as exc:
-            error = str(exc)
+            error, cause = str(exc), exc
         except Exception as exc:  # pragma: no cover - defensive
             error = repr(exc)
         if self._expected_exit:
@@ -490,7 +491,7 @@ class SubprocessHostExecutor(SweepExecutor):
             self._chunks.clear()
         self._events.put(ExecEvent(
             kind="lost", host=self.label, tokens=tokens, fatal=True,
-            error=error or f"worker exited with code {rc}",
+            error=error or f"worker exited with code {rc}", cause=cause,
             payload={"remote": True, "exit_code": rc},
         ))
 
@@ -551,6 +552,10 @@ class SubprocessHostExecutor(SweepExecutor):
                 kind="chunk_done", host=self.label,
                 token=token if token is not None else -1, failure=fail,
             ))
+        elif op == "refused":
+            raise CodeVersionError(
+                f"host {self.label} refused the sweep: {message.get('error')}"
+            )
         else:
             raise WireError(f"unexpected frame op {op!r} from host {self.label}")
 

@@ -25,7 +25,7 @@ import os
 from typing import Optional
 
 from .resilience import run_cell_guarded
-from .resultcache import ResultCache, result_to_dict
+from .resultcache import ResultCache, code_version, result_to_dict
 from .wire import WireError, WorkerContext, cells_from_wire, read_frame, write_frame
 
 
@@ -33,7 +33,9 @@ def serve(stdin, stdout) -> int:
     """Run the worker protocol on binary ``stdin``/``stdout`` streams.
 
     Returns the process exit code.  The first frame out is ``hello``
-    (per-host topology); the first frame in must be ``config``.
+    (per-host topology); the first frame in must be ``config``.  A
+    worker whose code version differs from the one in ``config`` sends
+    ``refused`` and exits 3 before it runs a cell.
     """
     os.environ["REPRO_WORKER"] = "1"  # arm worker-scoped fault plans
     write_frame(stdout, {
@@ -47,6 +49,12 @@ def serve(stdin, stdout) -> int:
     if message.get("op") != "config":
         raise WireError(f"expected config frame, got {message.get('op')!r}")
     context = WorkerContext.from_message(message)
+    if message.get("code") != code_version():
+        write_frame(stdout, {"op": "refused", "error": (
+            f"worker code version {code_version()} differs from the "
+            f"coordinator's {message.get('code')}"
+        )})
+        return 3
 
     cache: Optional[ResultCache] = (
         ResultCache(context.cache_dir) if context.cache_dir is not None else None

@@ -115,7 +115,7 @@ from .resilience import (
 )
 from .resultcache import ResultCache
 from .sweep import CellKey, SweepRunner, normalize_cell
-from .wire import WorkerContext
+from .wire import CodeVersionError, WorkerContext
 
 logger = logging.getLogger("repro.sweep")
 
@@ -554,11 +554,14 @@ class ParallelSweepRunner(SweepRunner):
                         live_tokens = [
                             t for t in event.tokens if t in outstanding
                         ]
+                        # A host refused for its code version is no
+                        # fault of the cells it was handed.
+                        refused = isinstance(event.cause, CodeVersionError)
                         n_requeued = 0
                         for t in live_tokens:
                             n_requeued += requeue_unfinished(
                                 t, event.host, "host-lost",
-                                penalize="crash",
+                                penalize=None if refused else "crash",
                                 error=event.error or "host lost",
                                 cause=event.cause,
                             )

@@ -20,8 +20,9 @@ architecture, or (over ssh) a different machine entirely.
 Message vocabulary (``op`` field):
 
 coordinator -> worker
-    * ``config`` — the :class:`WorkerContext` (sim/tpch/cache dirs);
-      sent once, immediately after spawn.
+    * ``config`` — the :class:`WorkerContext` (sim/tpch/cache dirs) and
+      the coordinator's ``code`` version; sent once, immediately after
+      spawn.
     * ``chunk`` — ``{token, cells: [[q, p, np, rep, mode], ...]}``; the
       worker runs the cells in order.
     * ``shutdown`` — clean exit request (EOF on stdin means the same).
@@ -30,6 +31,8 @@ worker -> coordinator
     * ``hello`` — ``{host_cpus, pid}``; first frame after spawn, the
       per-host topology record the scaling benchmarks publish.
     * ``heartbeat`` — ``{token, n_cells}`` at chunk start (liveness).
+    * ``refused`` — ``{error}``: the worker's code version differs from
+      the coordinator's, so it exits before running a cell.
     * ``cell_done`` — ``{token, index, source, result}`` streamed per
       finished cell, so a host lost mid-chunk only loses the cell in
       flight, never completed work.
@@ -61,6 +64,12 @@ class WireError(ReproError):
     """The host-worker byte stream is broken (truncated frame, garbage
     payload, implausible length) — the owning host must be declared
     lost, never limped along."""
+
+
+class CodeVersionError(WireError):
+    """A worker's code version differs from its coordinator's.  The
+    worker refuses the sweep before it runs a cell, so a sweep never
+    writes results under two code versions."""
 
 
 def write_frame(stream, message: dict) -> None:
@@ -133,8 +142,11 @@ class WorkerContext:
         )
 
     def to_message(self) -> dict:
+        from .resultcache import code_version
+
         return {
             "op": "config",
+            "code": code_version(),
             "sim": asdict(self.sim),
             "tpch": asdict(self.tpch),
             "verify_results": self.verify_results,

@@ -46,8 +46,15 @@ from repro.core.executors import (
 )
 from repro.core.parallel import ParallelSweepRunner
 from repro.core.resilience import FAULT_ENV, FaultPlan, validate_result
-from repro.core.resultcache import ResultCache
-from repro.core.wire import WireError, read_frame, write_frame
+from repro.core import resultcache
+from repro.core.resultcache import ResultCache, code_version
+from repro.core.wire import (
+    CodeVersionError,
+    WireError,
+    WorkerContext,
+    read_frame,
+    write_frame,
+)
 from repro.errors import ConfigError
 from repro.obs.sinks import SweepEventRecorder
 
@@ -251,6 +258,67 @@ class TestDistributedFaults:
         assert report.degraded
         assert recorder.counts["degraded"] >= 1
         assert_grid_matches_serial(runner, CELLS)
+
+
+#: A ``cmd:`` host whose worker reports a code version of its own.
+OTHER_VERSION_HOST = (
+    f'cmd:{sys.executable} -c "import repro.core.resultcache as rc; '
+    "rc._code_version = '0' * 16; from repro.core.hostworker import main; "
+    'raise SystemExit(main())"'
+)
+
+
+def cached_codes(cache_dir) -> set:
+    """The code versions the result files under ``cache_dir`` carry."""
+    return {json.loads(blob)["code"] for blob in result_files(cache_dir).values()}
+
+
+class TestOneCodeVersion:
+    """A sweep writes every result under its coordinator's code version."""
+
+    def test_local_hosts_write_under_the_coordinators_version(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.delenv(FAULT_ENV, raising=False)
+        monkeypatch.setattr(resultcache, "_code_version", "sentinel-version")
+        cache_dir = tmp_path / "cache"
+        runner = ParallelSweepRunner(
+            sim=TEST_SIM, tpch=TINY_TPCH, cache=ResultCache(cache_dir),
+            executor=select_executor(hosts="2"),
+        )
+        report = runner.execute(CELLS[:2])
+        assert report.ok and report.ran == 2
+        assert cached_codes(cache_dir) == {"sentinel-version"}
+
+    def test_worker_on_another_version_refuses_typed(self, tmp_path):
+        executor = MultiHostExecutor([OTHER_VERSION_HOST])
+        executor.start(WorkerContext(
+            sim=TEST_SIM, tpch=TINY_TPCH, cache_dir=str(tmp_path),
+        ))
+        try:
+            event = executor.next_event(60)
+            while event is not None and event.kind != "lost":
+                event = executor.next_event(60)
+        finally:
+            executor.abandon()
+        assert event is not None and isinstance(event.cause, CodeVersionError)
+        assert "code version" in event.error
+        assert result_files(tmp_path) == {}
+
+    def test_refused_fleet_falls_back_under_one_version(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.delenv(FAULT_ENV, raising=False)
+        cache_dir = tmp_path / "cache"
+        runner = make_distributed(
+            hosts=[OTHER_VERSION_HOST, OTHER_VERSION_HOST],
+            cache=ResultCache(cache_dir),
+        )
+        report = runner.execute(CELLS[:2], max_pool_rebuilds=0)
+        assert report.ok and report.ran == 2 and report.degraded
+        # a refusal is the host's fault, not the cells'
+        assert report.host_losses >= 1 and report.crashes == 0
+        assert cached_codes(cache_dir) == {code_version()}
 
 
 DIST_SWEEP_ARGS = SWEEP_ARGS + ["--hosts", "local,local"]
