@@ -1,13 +1,14 @@
-"""CI distributed smoke: tiny grid over two subprocess hosts.
+"""CI distributed smoke: tiny grid over two hosts, two transports.
 
 Runs the complete figure grid at a very small scale factor twice —
-once on the serial :class:`SweepRunner`, once distributed across two
-:class:`SubprocessHostExecutor` hosts (the ``--hosts local,local``
-topology) with a checkpoint manifest and the sweep event bus attached
-— and asserts the result caches agree bitwise.  Everything the run
-produces lands under the output directory so CI can upload it when
-the check fails: the engine/host event log, the checkpoint manifest,
-and the shared result cache both hosts wrote into.
+once on the serial :class:`SweepRunner`, once distributed across a
+``local`` host (forked from this process) and a ``cmd:`` host (a
+spawned ``repro worker``, the transport ``ssh:`` hosts use) with a
+checkpoint manifest and the sweep event bus attached — and asserts the
+result caches agree bitwise.  Everything the run produces lands under
+the output directory so CI can upload it when the check fails: the
+engine/host event log, the checkpoint manifest, and the shared result
+cache both hosts wrote into.
 
 Usage: python scripts/bench_smoke_distributed.py [out_dir]
 """
@@ -35,7 +36,7 @@ from repro.obs.sinks import SweepEventRecorder  # noqa: E402
 from repro.tpch.datagen import TPCHConfig  # noqa: E402
 
 SMOKE_TPCH = TPCHConfig(sf=0.0004, seed=19920101)
-HOSTS = "local,local"
+HOSTS = f"local,cmd:{sys.executable} -m repro worker"
 
 
 def snap(res):

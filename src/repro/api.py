@@ -21,7 +21,6 @@ from ._version import __version__
 from .config import DEFAULT_SIM, TEST_SIM, SimConfig
 from .core import metrics
 from .core.executors import (
-    LocalPoolExecutor,
     MultiHostExecutor,
     SubprocessHostExecutor,
     SweepExecutor,
@@ -89,10 +88,9 @@ __all__ = [
     # sweeps: serial, parallel/resilient, persistence
     "SweepRunner",
     "ParallelSweepRunner",
-    # execution backends (serial / local pool / multi-host)
+    # execution backends (serial / host fleet)
     "select_executor",
     "SweepExecutor",
-    "LocalPoolExecutor",
     "SubprocessHostExecutor",
     "MultiHostExecutor",
     "ResultCache",

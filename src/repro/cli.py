@@ -16,9 +16,8 @@
   workload's per-process tapes into the trace store, or replay them
   through any machine model (bitwise-identical counters)
 * ``worker``     — sweep host worker: speak the length-prefixed JSON
-  frame protocol on stdin/stdout (spawned by ``--hosts``, locally or
-  as the remote end of ``ssh host repro worker``; not for interactive
-  use)
+  frame protocol on stdin/stdout (started by ``cmd:`` hosts, or as the
+  remote end of ``ssh host repro worker``; not for interactive use)
 * ``serve``      — run the experiment daemon: a versioned HTTP API
   (``POST /v1/sweeps``, SSE events, shared result store) over the
   distributed sweep engine (see :mod:`repro.service`)
@@ -88,13 +87,13 @@ def _tpch(args) -> TPCHConfig:
 def _add_sweep_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="run sweep cells on N worker processes (default: serial)",
+        help="run sweep cells on N local worker hosts (default: serial)",
     )
     p.add_argument(
         "--hosts", default=None, metavar="H1,H2,...",
         help="distribute sweep cells across hosts (comma-separated: "
              "'local', 'ssh:user@host', 'cmd:...', or an integer N for "
-             "N local subprocess hosts); default: $REPRO_HOSTS; "
+             "N local hosts); default: $REPRO_HOSTS; "
              "overrides --jobs",
     )
     p.add_argument(
@@ -930,7 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "worker",
         help="sweep host worker (frame protocol on stdin/stdout; "
-             "spawned by --hosts, not for interactive use)",
+             "started by ssh:/cmd: hosts, not for interactive use)",
     )
     p.set_defaults(func=cmd_worker)
 
@@ -948,7 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8642, metavar="N",
                    help="port to listen on (0 = ephemeral; default 8642)")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes per job (default: serial)")
+                   help="local worker hosts per job (default: serial)")
     p.add_argument("--hosts", default=None, metavar="H1,H2,...",
                    help="distribute each job across hosts (same syntax as "
                         "`repro sweep --hosts`; default: $REPRO_HOSTS)")

@@ -1,23 +1,24 @@
-"""Pluggable sweep executors: local pool, subprocess hosts, multi-host.
+"""Sweep executors: worker hosts speaking the frame protocol.
 
 :class:`~repro.core.parallel.ParallelSweepRunner`'s resilient engine is
 transport-agnostic: it LPT-packs cells into chunks, tracks per-chunk
 deadlines, classifies faults, and retries — while a
-:class:`SweepExecutor` owns *where* chunks actually run.  Three
-implementations ship:
+:class:`SweepExecutor` owns *where* chunks actually run.  Every worker
+is a *host* speaking the length-prefixed JSON protocol of
+:mod:`repro.core.wire`, so a sweep has one fault model:
 
-* :class:`LocalPoolExecutor` — the original in-process
-  ``ProcessPoolExecutor`` fan-out, refactored out of
-  :mod:`repro.core.parallel`.
-* :class:`SubprocessHostExecutor` — one *host*: a worker subprocess
-  speaking the length-prefixed JSON protocol of :mod:`repro.core.wire`
-  on its stdio (``repro worker``).  Locally spawned it is the
-  CI-testable stand-in for a remote machine; pointed at ``ssh:...`` it
-  is the real thing — the protocol never changes.
+* :class:`SubprocessHostExecutor` — one host.  A ``local`` host is
+  forked from the coordinator after it has built the TPC-H database and
+  computed its code version, so the worker inherits both; it serves
+  :func:`~repro.core.hostworker.serve` over two pipes.  ``ssh:`` and
+  ``cmd:`` hosts start ``repro worker`` in a fresh interpreter (as does
+  ``local`` where ``os.fork`` does not exist), and refuse a sweep whose
+  code version differs from their own.
 * :class:`MultiHostExecutor` — N hosts behind one event queue,
   least-loaded (LPT) chunk assignment, per-host loss isolation: a dead
   host surfaces a non-fatal ``lost`` event and its unfinished cells
   requeue to the survivors, fatal only when *no* host remains.
+  ``--jobs N`` is N ``local`` hosts.
 
 The engine consumes executors through five verbs — ``start``,
 ``submit``, ``next_event``, ``expire``, ``abandon`` — plus ``close``
@@ -37,19 +38,19 @@ from __future__ import annotations
 import os
 import queue
 import shlex
+import signal
 import subprocess
 import sys
 import threading
-from collections import deque
-from pathlib import Path
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+import time
+import traceback
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError, ReproError
-from .experiment import DatabaseCache, ExperimentResult, ExperimentSpec
-from .resilience import run_cell_guarded
-from .resultcache import ResultCache, result_from_dict
+from .experiment import DatabaseCache, ExperimentResult
+from .resultcache import code_version, result_from_dict
 from .sweep import CellKey
 from .wire import (
     CodeVersionError,
@@ -60,9 +61,17 @@ from .wire import (
     write_frame,
 )
 
+#: Host specs that name this machine.
+LOCAL_HOSTS = ("local", "localhost")
+
 
 class ExecutorError(ReproError):
-    """An executor could not be started (no pool, no live host)."""
+    """An executor could not be started (no live host)."""
+
+
+class CellError(ReproError):
+    """A cell raised in a host worker.  Exceptions do not cross the
+    wire, so the message is the worker's ``repr`` of the original."""
 
 
 @dataclass
@@ -146,195 +155,12 @@ class SweepExecutor:
         return {}
 
 
-# -- worker entry points (module-level so they pickle by reference) ---------
-
-def _run_cell(spec: ExperimentSpec) -> ExperimentResult:
-    """Single-cell pool-worker entry point.  Kept for API compatibility
-    and tests."""
-    from .experiment import run_experiment
-
-    return run_experiment(spec)
-
-
-def _run_chunk(
-    specs: Sequence[ExperimentSpec],
-    cache_dir: Optional[str],
-    trace_dir: Optional[str] = None,
-) -> Tuple[
-    List[ExperimentResult], Optional[Tuple[int, BaseException]], List[str]
-]:
-    """Pool-worker chunk entry point: run ``specs`` in order.
-
-    Returns ``(results, failure, sources)`` where ``failure`` is
-    ``None`` on success or ``(index, exception)`` for the first cell
-    that raised — the results of the cells before it are still
-    returned, so the parent can memoize partial progress — and
-    ``sources`` records how each returned cell was satisfied
-    (``cache``/``ran``/``captured``/``replay``).  With a ``cache_dir``,
-    each cell is first looked up in (and, when run, written to) the
-    shared on-disk result cache, so warm workers skip cells and a
-    mid-chunk failure never loses finished cells.  With a
-    ``trace_dir``, cells route through the shared on-disk
-    :class:`~repro.trace.store.TraceStore` — the first cell of a
-    workload captures its tape, every later cell (machine axis, other
-    workers, other runs) replays it.  Each cell goes through
-    :func:`~repro.core.resilience.run_cell_guarded`, the choke point
-    where an ambient :class:`~repro.core.resilience.FaultPlan` injects
-    crash/hang/corrupt faults.
-    """
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    trace_store = None
-    if trace_dir is not None:
-        from ..trace.store import TraceStore
-
-        trace_store = TraceStore(trace_dir)
-    results: List[ExperimentResult] = []
-    sources: List[str] = []
-    for i, spec in enumerate(specs):
-        try:
-            result, source = run_cell_guarded(spec, cache, trace_store)
-        except Exception as exc:  # surfaced, with the cell, by the parent
-            return results, (i, exc), sources
-        results.append(result)
-        sources.append(source)
-    return results, None, sources
-
-
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Abandon a broken or hung pool without waiting on it.
-
-    A hung worker cannot be cancelled through the executor API, so the
-    pool is shut down without waiting and its processes terminated
-    directly — any cells it finished are already in the on-disk result
-    cache, so nothing durable is lost."""
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except TypeError:  # pragma: no cover - Python < 3.9
-        pool.shutdown(wait=False)
-    for proc in list((getattr(pool, "_processes", None) or {}).values()):
-        try:
-            proc.terminate()
-        except Exception:
-            pass
-
-
-class LocalPoolExecutor(SweepExecutor):
-    """The in-process ``ProcessPoolExecutor`` lane — chunks run in
-    forked/spawned children of this interpreter, specs cross the
-    boundary as pickled frozen dataclasses (same machine, same build,
-    so pickling is safe here — and only here)."""
-
-    name = "local-pool"
-
-    def __init__(self, jobs: Optional[int] = None) -> None:
-        self.jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._context: Optional[WorkerContext] = None
-        self._futures: Dict[object, int] = {}
-        self._chunks: Dict[int, List[CellKey]] = {}
-        self._ready: deque = deque()
-
-    def plan_workers(self, n_units: int) -> int:
-        return max(1, min(self.jobs, n_units))
-
-    @property
-    def alive(self) -> bool:
-        return self._pool is not None
-
-    def start(self, context: WorkerContext, n_units: int = 0) -> None:
-        if self._pool is not None:
-            return
-        self._context = context
-        # Build the database in the parent first: fork-start workers
-        # then inherit the page images instead of regenerating TPC-H
-        # once per interpreter (spawn-start platforms still rebuild,
-        # but only once per worker thanks to chunking).
-        DatabaseCache.get(context.tpch)
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.plan_workers(max(n_units, 1))
-        )
-
-    def submit(self, token: int, keys: Sequence[CellKey], cost: float = 0.0) -> str:
-        assert self._pool is not None and self._context is not None
-        specs = [self._context.spec(k) for k in keys]
-        fut = self._pool.submit(
-            _run_chunk, specs, self._context.cache_dir, self._context.trace_dir
-        )
-        self._futures[fut] = token
-        self._chunks[token] = list(keys)
-        return self.name
-
-    def next_event(self, timeout: Optional[float]) -> Optional[ExecEvent]:
-        if self._ready:
-            return self._ready.popleft()
-        if not self._futures:
-            return None
-        done, _pending = wait(
-            set(self._futures), timeout=timeout, return_when=FIRST_COMPLETED
-        )
-        for fut in done:
-            token = self._futures.pop(fut)
-            self._chunks.pop(token, None)
-            try:
-                results, failure, sources = fut.result()
-            except Exception as exc:
-                # The pool is broken — this chunk's worker (or a
-                # sibling's) died mid-flight.  The whole pool goes with
-                # it: fatal, so the engine abandons and rebuilds.
-                self._ready.append(ExecEvent(
-                    kind="lost", host=self.name, tokens=(token,),
-                    error=f"worker died ({exc!r})", cause=exc, fatal=True,
-                ))
-                continue
-            for i, (result, source) in enumerate(zip(results, sources)):
-                self._ready.append(ExecEvent(
-                    kind="cell", host=self.name, token=token, index=i,
-                    result=result, source=source,
-                ))
-            fail = None
-            if failure is not None:
-                index, exc = failure
-                fail = (index, repr(exc), exc)
-            self._ready.append(ExecEvent(
-                kind="chunk_done", host=self.name, token=token, failure=fail,
-            ))
-        return self._ready.popleft() if self._ready else None
-
-    def expire(self, tokens: Sequence[int]) -> Tuple[List[int], bool]:
-        dropped = set(tokens)
-        collateral = [t for t in self._chunks if t not in dropped]
-        self._teardown()
-        return collateral, True
-
-    def abandon(self) -> List[int]:
-        tokens = list(self._chunks)
-        self._teardown()
-        return tokens
-
-    def _teardown(self) -> None:
-        if self._pool is not None:
-            _kill_pool(self._pool)
-        self._pool = None
-        self._futures.clear()
-        self._chunks.clear()
-        self._ready.clear()
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-        self._pool = None
-        self._futures.clear()
-        self._chunks.clear()
-        self._ready.clear()
-
-    def host_info(self) -> Dict[str, dict]:
-        return {self.name: {"host_cpus": os.cpu_count() or 1, "jobs": self.jobs}}
-
-
 def host_argv(spec: str) -> List[str]:
     """The command line that brings up one host's ``repro worker``.
 
-    * ``local`` / ``localhost`` — this interpreter, a fresh process.
+    * ``local`` / ``localhost`` — this interpreter, a fresh process
+      (used where ``os.fork`` does not exist; elsewhere a local host is
+      forked, see :class:`SubprocessHostExecutor`).
     * ``ssh:user@host`` — the worker on a remote machine (the remote
       end runs the same frame protocol on its stdio, which is exactly
       what ssh transports).
@@ -342,7 +168,7 @@ def host_argv(spec: str) -> List[str]:
       (containers, job schedulers); the command must speak the worker
       protocol on its stdio.
     """
-    if spec in ("local", "localhost"):
+    if spec in LOCAL_HOSTS:
         return [sys.executable, "-m", "repro", "worker"]
     if spec.startswith("ssh:"):
         target = spec[len("ssh:"):]
@@ -363,8 +189,8 @@ def parse_hosts(raw) -> List[str]:
     """Parse a ``--hosts``/``REPRO_HOSTS`` value into host specs.
 
     A comma-separated list; an integer entry ``N`` is shorthand for
-    ``N`` local subprocess hosts (``--hosts 4`` simulates a four-host
-    fleet on one machine — the CI topology)."""
+    ``N`` local hosts (``--hosts 4`` simulates a four-host fleet on one
+    machine — the CI topology)."""
     if isinstance(raw, (list, tuple)):
         parts = [str(p) for p in raw]
     else:
@@ -386,16 +212,80 @@ def parse_hosts(raw) -> List[str]:
     return specs
 
 
-class SubprocessHostExecutor(SweepExecutor):
-    """One sweep host: a worker subprocess speaking the
-    :mod:`repro.core.wire` frame protocol on its stdio.
+class _ForkedWorker:
+    """A ``local`` host forked from the coordinator.
 
-    A reader thread drains the worker's stdout into an event queue
-    (optionally shared with sibling hosts by
-    :class:`MultiHostExecutor`); stdin carries config and chunk frames.
-    Any stream surprise — EOF with chunks in flight, a garbage frame —
-    declares the host *lost*: its in-flight tokens ride out on one
-    ``lost`` event and the process is killed, never limped along.
+    The child closes the coordinator's pipe ends — its own and every
+    fleet sibling's, so each worker's stdin has exactly one writer and
+    reads EOF the moment the coordinator dies — serves
+    :func:`~repro.core.hostworker.serve` over its two pipes, and always
+    leaves through ``os._exit``: it never returns into the coordinator's
+    stack.  The parent gets the slice of :class:`subprocess.Popen` the
+    host executor uses (``stdin``, ``stdout``, ``poll``, ``wait``,
+    ``kill``)."""
+
+    def __init__(self, inherited: Sequence[int]) -> None:
+        from .hostworker import serve
+
+        down_r, down_w = os.pipe()
+        up_r, up_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                for fd in (down_w, up_r, *inherited):
+                    os.close(fd)
+                code = serve(os.fdopen(down_r, "rb"), os.fdopen(up_w, "wb"))
+            except BaseException:
+                traceback.print_exc()
+            finally:
+                os._exit(code)
+        os.close(down_r)
+        os.close(up_w)
+        self.pid = pid
+        self.stdin = os.fdopen(down_w, "wb")
+        self.stdout = os.fdopen(up_r, "rb")
+        self.returncode: Optional[int] = None
+        self._lock = threading.Lock()
+
+    def poll(self) -> Optional[int]:
+        with self._lock:
+            if self.returncode is None:
+                pid, status = os.waitpid(self.pid, os.WNOHANG)
+                if pid:
+                    self.returncode = os.waitstatus_to_exitcode(status)
+            return self.returncode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        delay = 0.0005
+        while self.poll() is None:
+            if deadline is not None and time.monotonic() >= deadline:
+                raise subprocess.TimeoutExpired(f"worker {self.pid}", timeout)
+            time.sleep(delay)
+            delay = min(delay * 2, 0.05)
+        return self.returncode
+
+    def kill(self) -> None:
+        with self._lock:
+            if self.returncode is None:  # never signal a reaped pid
+                os.kill(self.pid, signal.SIGKILL)
+
+
+class SubprocessHostExecutor(SweepExecutor):
+    """One sweep host: a worker process speaking the
+    :mod:`repro.core.wire` frame protocol over a pair of pipes.
+
+    A ``local`` host is forked from the coordinator (see
+    :class:`_ForkedWorker`); any other host, and ``local`` where
+    ``os.fork`` does not exist, runs :func:`host_argv`'s command with
+    the pipes on its stdio.  A reader thread drains the worker's output
+    into an event queue (optionally shared with sibling hosts by
+    :class:`MultiHostExecutor`, which also passes the sibling list as
+    ``fleet``); the other pipe carries config and chunk frames.  Any
+    stream surprise — EOF with chunks in flight, a garbage frame, a
+    refusal — declares the host *lost*: its in-flight tokens ride out on
+    one ``lost`` event and the process is killed, never limped along.
     """
 
     def __init__(
@@ -403,12 +293,14 @@ class SubprocessHostExecutor(SweepExecutor):
         host: str = "local",
         label: Optional[str] = None,
         events: Optional["queue.Queue"] = None,
+        fleet: Optional[List["SubprocessHostExecutor"]] = None,
     ) -> None:
         self.host = host
         self.label = label or host
         self.name = f"host:{self.label}"
         self._events: "queue.Queue" = events if events is not None else queue.Queue()
-        self._proc: Optional[subprocess.Popen] = None
+        self._fleet = fleet if fleet is not None else [self]
+        self._proc = None  # subprocess.Popen or _ForkedWorker
         self._context: Optional[WorkerContext] = None
         self._chunks: Dict[int, List[CellKey]] = {}
         self._lock = threading.Lock()
@@ -419,7 +311,7 @@ class SubprocessHostExecutor(SweepExecutor):
         self.worker_pid: Optional[int] = None
 
     def plan_workers(self, n_units: int) -> int:
-        return 1  # one worker interpreter per host
+        return 1  # one worker process per host
 
     @property
     def alive(self) -> bool:
@@ -429,12 +321,23 @@ class SubprocessHostExecutor(SweepExecutor):
             and not self._dead
         )
 
-    def start(self, context: WorkerContext, n_units: int = 0) -> None:
-        if self.alive:
-            return
-        self._context = context
-        self._dead = False
-        self._expected_exit = False
+    def _pipe_fds(self) -> List[int]:
+        """The coordinator's open ends of this host's pipes."""
+        fds = []
+        if self._proc is not None:
+            for stream in (self._proc.stdin, self._proc.stdout):
+                if not stream.closed:
+                    fds.append(stream.fileno())
+        return fds
+
+    def _fork(self, context: WorkerContext) -> _ForkedWorker:
+        # Build the database and hash the sources before forking, so
+        # the worker inherits both instead of making its own.
+        DatabaseCache.get(context.tpch)
+        code_version()
+        return _ForkedWorker([fd for h in self._fleet for fd in h._pipe_fds()])
+
+    def _spawn(self) -> subprocess.Popen:
         env = dict(os.environ)
         env["REPRO_WORKER"] = "1"  # arm worker-scoped fault plans
         if not self.host.startswith("ssh:"):
@@ -447,13 +350,24 @@ class SubprocessHostExecutor(SweepExecutor):
                 p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p
             ]
             env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(parts))
+        return subprocess.Popen(
+            host_argv(self.host),
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            env=env,
+        )
+
+    def start(self, context: WorkerContext, n_units: int = 0) -> None:
+        if self.alive:
+            return
+        self._context = context
+        self._dead = False
+        self._expected_exit = False
         try:
-            self._proc = subprocess.Popen(
-                host_argv(self.host),
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                env=env,
-            )
+            if self.host in LOCAL_HOSTS and hasattr(os, "fork"):
+                self._proc = self._fork(context)
+            else:
+                self._proc = self._spawn()
             write_frame(self._proc.stdin, context.to_message())
         except (OSError, ValueError) as exc:
             self._proc = None
@@ -467,7 +381,7 @@ class SubprocessHostExecutor(SweepExecutor):
         reader.start()
 
     # -- reader thread ------------------------------------------------------
-    def _read_loop(self, proc: subprocess.Popen) -> None:
+    def _read_loop(self, proc) -> None:
         error, cause = "", None
         try:
             while True:
@@ -492,7 +406,6 @@ class SubprocessHostExecutor(SweepExecutor):
         self._events.put(ExecEvent(
             kind="lost", host=self.label, tokens=tokens, fatal=True,
             error=error or f"worker exited with code {rc}", cause=cause,
-            payload={"remote": True, "exit_code": rc},
         ))
 
     def _handle(self, message: dict) -> None:
@@ -545,9 +458,10 @@ class SubprocessHostExecutor(SweepExecutor):
             fail = None
             if failure is not None:
                 try:
-                    fail = (int(failure[0]), str(failure[1]), None)
+                    index, error = int(failure[0]), str(failure[1])
                 except (TypeError, ValueError, IndexError):
-                    fail = (-1, str(failure), None)
+                    index, error = -1, str(failure)
+                fail = (index, error, CellError(error))
             self._events.put(ExecEvent(
                 kind="chunk_done", host=self.label,
                 token=token if token is not None else -1, failure=fail,
@@ -565,7 +479,7 @@ class SubprocessHostExecutor(SweepExecutor):
             if self._dead:
                 self._events.put(ExecEvent(
                     kind="lost", host=self.label, tokens=(token,), fatal=True,
-                    error="host is down", payload={"remote": True},
+                    error="host is down",
                 ))
                 return self.label
             self._chunks[token] = list(keys)
@@ -580,7 +494,6 @@ class SubprocessHostExecutor(SweepExecutor):
                 self._events.put(ExecEvent(
                     kind="lost", host=self.label, tokens=(token,), fatal=True,
                     error=f"write to host failed ({exc})",
-                    payload={"remote": True},
                 ))
         return self.label
 
@@ -660,20 +573,19 @@ class MultiHostExecutor(SweepExecutor):
     a ``lost`` event and the engine requeues the unfinished cells,
     which the next generation places on the survivors.  Only when every
     host is down does the executor report fatal and the engine falls
-    back (multi-host → local pool → serial).
+    back (configured fleet → local fleet → serial).
     """
 
     name = "multi-host"
 
     def __init__(self, hosts) -> None:
-        specs = parse_hosts(hosts)
         self._events: "queue.Queue" = queue.Queue()
-        self.hosts: List[SubprocessHostExecutor] = [
-            SubprocessHostExecutor(
-                spec, label=f"{spec}#{i}", events=self._events
-            )
-            for i, spec in enumerate(specs)
-        ]
+        self.hosts: List[SubprocessHostExecutor] = []
+        for i, spec in enumerate(parse_hosts(hosts)):
+            self.hosts.append(SubprocessHostExecutor(
+                spec, label=f"{spec}#{i}", events=self._events,
+                fleet=self.hosts,
+            ))
         self._owner: Dict[int, SubprocessHostExecutor] = {}
         self._cost: Dict[int, float] = {}
         self._load: Dict[str, float] = {}
@@ -784,18 +696,18 @@ class MultiHostExecutor(SweepExecutor):
 
 
 def select_executor(jobs: Optional[int] = None, hosts=None) -> Optional[SweepExecutor]:
-    """The one place the three execution paths are chosen.
+    """The one place the execution path is chosen.
 
     * ``hosts`` set (a ``--hosts`` string, an iterable of host specs,
-      or an int) → :class:`MultiHostExecutor`;
-    * else ``jobs > 1`` (default: ``os.cpu_count()``) →
-      :class:`LocalPoolExecutor`;
+      or an int) → a :class:`MultiHostExecutor` over those hosts;
+    * else ``jobs > 1`` (default: ``os.cpu_count()``) → a
+      :class:`MultiHostExecutor` over ``jobs`` local hosts;
     * else ``None`` — the engine runs serial in-process.
     """
-    if hosts:
-        return MultiHostExecutor(hosts)
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs <= 1:
-        return None
-    return LocalPoolExecutor(jobs)
+    if not hosts:
+        if jobs is None:
+            jobs = os.cpu_count() or 1
+        if jobs <= 1:
+            return None
+        hosts = ["local"] * jobs
+    return MultiHostExecutor(hosts)

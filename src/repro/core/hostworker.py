@@ -1,27 +1,32 @@
-"""The ``repro worker`` serve loop — one sweep host's remote end.
+"""The sweep worker serve loop — one host's far end.
 
-A host worker is a plain subprocess (locally spawned, or the far end
-of ``ssh host repro worker``) that speaks the frame protocol of
-:mod:`repro.core.wire` on stdin/stdout: it receives a ``config`` frame
-and then ``chunk`` frames, runs each cell through the same
-:func:`~repro.core.resilience.run_cell_guarded` choke point the local
-pool and serial paths use, and streams back one ``cell_done`` frame per
-finished cell.  Results are *also* written to the shared
-content-addressed :class:`~repro.core.resultcache.ResultCache` (and
-tapes to the :class:`~repro.trace.store.TraceStore`) when the sweep has
-one — that is what makes a lost host cheap: everything it finished is
-already on disk, and the retry on a surviving host is a cache hit.
+A host worker speaks the frame protocol of :mod:`repro.core.wire` over
+a pair of byte streams.  A ``local`` host is a child forked from the
+coordinator that serves over two pipes; any other host is ``repro
+worker`` (spawned by a ``cmd:`` command, or the far end of ``ssh host
+repro worker``) serving on its stdin/stdout.  Either way it receives a
+``config`` frame and then ``chunk`` frames, runs each cell through the
+same :func:`~repro.core.resilience.run_cell_guarded` choke point the
+serial path uses, and streams back one ``cell_done`` frame per finished
+cell.  Results are *also* written to the shared content-addressed
+:class:`~repro.core.resultcache.ResultCache` (and tapes to the
+:class:`~repro.trace.store.TraceStore`) when the sweep has one — that
+is what makes a lost host cheap: everything it finished is already on
+disk, and the retry on a surviving host is a cache hit.
 
-The worker exits 0 on a ``shutdown`` frame or clean stdin EOF, and
-nonzero on a broken stream — the coordinator treats either surprise as
-a lost host.  ``REPRO_WORKER=1`` is set on entry so ``scope="worker"``
-:class:`~repro.core.resilience.FaultPlan`\\ s arm here exactly as they
-do inside multiprocessing pool children.
+The worker exits 0 on a ``shutdown`` frame or clean EOF, 3 when it
+refuses a sweep of another code version, and nonzero on a broken
+stream — the coordinator treats any surprise as a lost host.  EOF is
+also how a worker outlives no coordinator: the coordinator holds the
+only write end of its input.  ``REPRO_WORKER=1`` is set on entry so
+``scope="worker"`` :class:`~repro.core.resilience.FaultPlan`\\ s arm
+here and never in the coordinator.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from typing import Optional
 
 from .resilience import run_cell_guarded
@@ -37,6 +42,14 @@ def serve(stdin, stdout) -> int:
     worker whose code version differs from the one in ``config`` sends
     ``refused`` and exits 3 before it runs a cell.
     """
+    try:
+        return _serve(stdin, stdout)
+    except (WireError, OSError) as exc:  # BrokenPipeError is an OSError
+        print(f"repro worker: stream broken ({exc})", file=sys.stderr)
+        return 1
+
+
+def _serve(stdin, stdout) -> int:
     os.environ["REPRO_WORKER"] = "1"  # arm worker-scoped fault plans
     write_frame(stdout, {
         "op": "hello",
@@ -104,13 +117,6 @@ def main() -> int:
     ``print`` anywhere in the simulator then lands in the worker's log
     instead of corrupting the protocol.
     """
-    import sys
-
     frames_fd = os.dup(sys.stdout.fileno())
     os.dup2(sys.stderr.fileno(), sys.stdout.fileno())
-    frames_out = os.fdopen(frames_fd, "wb")
-    try:
-        return serve(sys.stdin.buffer, frames_out)
-    except (WireError, BrokenPipeError, OSError) as exc:
-        print(f"repro worker: stream broken ({exc})", file=sys.stderr)
-        return 1
+    return serve(sys.stdin.buffer, os.fdopen(frames_fd, "wb"))

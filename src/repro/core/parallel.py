@@ -3,17 +3,16 @@
 Every cell of the paper's (query x platform x n_procs) matrix is an
 independent, deterministic simulation — a pure function of its
 :class:`ExperimentSpec` — so the grid is embarrassingly parallel.
-:class:`ParallelSweepRunner` fans missing cells out over a pluggable
-:class:`~repro.core.executors.SweepExecutor`: the in-process pool
-(:class:`~repro.core.executors.LocalPoolExecutor`), one worker
-subprocess per host speaking the JSON frame protocol
-(:class:`~repro.core.executors.SubprocessHostExecutor`), or a fleet of
-hosts (:class:`~repro.core.executors.MultiHostExecutor`).  Only cell
-keys and plain JSON cross host boundaries (workers rebuild the
-deterministic TPC-H database from ``TPCHConfig`` via the
-per-interpreter :class:`~repro.core.experiment.DatabaseCache`), so
-nothing unpicklable — indeed nothing pickled at all, beyond the local
-pool's own specs — is ever shipped.
+:class:`ParallelSweepRunner` fans missing cells out over a
+:class:`~repro.core.executors.SweepExecutor`: a fleet of hosts
+(:class:`~repro.core.executors.MultiHostExecutor`), each one worker
+process speaking the JSON frame protocol
+(:class:`~repro.core.executors.SubprocessHostExecutor`).  ``--jobs N``
+is N local hosts forked from this process, which inherit its TPC-H
+database and code version; remote hosts rebuild the deterministic
+database from ``TPCHConfig`` via their own
+:class:`~repro.core.experiment.DatabaseCache`.  Only cell keys and
+plain JSON cross host boundaries — nothing is ever pickled.
 
 Scheduling
 ----------
@@ -48,15 +47,15 @@ Resilience
 consumes executor *events* and never cares where a chunk physically
 ran:
 
-* **Worker crashes** break the local pool; the engine re-queues every
-  unfinished cell *at cell granularity*, rebuilds, and retries the
-  crash-penalized cells under the
-  :class:`~repro.core.resilience.RetryPolicy`'s backoff.
-* **Lost hosts** are the distributed analogue — but *non-fatal* while
-  any fleet sibling survives: the dead host's unfinished cells
-  re-queue (``on_cell_requeue``) and the next generation lands them on
-  the survivors.  Cells the host finished were already streamed back
-  and cached, so nothing is recomputed.
+* **Lost hosts** (a crashed worker, a broken stream) are *non-fatal*
+  while any fleet sibling survives: the dead host's unfinished cells
+  re-queue *at cell granularity* (``on_cell_requeue``), each charged a
+  crash attempt under the :class:`~repro.core.resilience.RetryPolicy`'s
+  backoff, and the next generation lands them on the survivors.  Cells
+  the host finished were already streamed back and cached, so nothing
+  is recomputed.  A host that refuses the sweep for its code version
+  costs its cells nothing.  When the whole fleet is down, the engine
+  tears it down and restarts it.
 * **Stragglers** are bounded by per-chunk deadlines (``timeout_s``
   seconds per unit of estimated cost); an expired chunk's cells are
   re-queued individually and only the hung resource is torn down (a
@@ -67,10 +66,11 @@ ran:
 * **Quarantine**: a cell that exhausts its attempts (or raises a
   deterministic application error) lands in the report's
   ``failed`` list and the sweep *completes* instead of aborting.
-* **Graceful degradation**: when an executor breaks more than
-  ``max_pool_rebuilds`` times, the engine falls down the chain —
-  multi-host → local pool → serial in-process (which also disarms
-  worker-scoped fault plans).
+* **Graceful degradation**: when an executor is torn down more than
+  ``max_pool_rebuilds`` times, the engine falls down the chain — the
+  configured fleet → a local fleet of the same size (only when the
+  configured one had a non-local host) → serial in-process (which also
+  disarms worker-scoped fault plans).
 
 Every dispatch/heartbeat/retry/timeout/host-loss/requeue/quarantine/
 degradation is published on the observer bus
@@ -93,14 +93,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 from ..config import DEFAULT_SIM, SimConfig
 from ..obs.bus import SWEEP_EVENTS, SinkRegistry
 from ..tpch.datagen import TPCHConfig
-from .executors import (  # noqa: F401  (re-exported for compatibility)
+from .executors import (
+    LOCAL_HOSTS,
     ExecutorError,
-    LocalPoolExecutor,
     MultiHostExecutor,
     SweepExecutor,
-    _kill_pool,
-    _run_cell,
-    _run_chunk,
     select_executor,
 )
 from .experiment import DEFAULT_TPCH, ExperimentResult
@@ -191,7 +188,7 @@ class ParallelSweepRunner(SweepRunner):
     :meth:`grid`) runs missing cells on a
     :class:`~repro.core.executors.SweepExecutor`.
 
-    ``cell()`` stays serial — a single miss is not worth a pool — so
+    ``cell()`` stays serial — a single miss is not worth a worker — so
     figure builders should :meth:`prewarm` their grid first (the CLI's
     ``--jobs``/``--hosts`` paths do this automatically).
     :meth:`execute` is the resilient engine underneath: :meth:`prewarm`
@@ -362,7 +359,7 @@ class ParallelSweepRunner(SweepRunner):
         if self.executor is None or len(missing) == 1:
             logger.info(
                 "sweep: %d missing cell(s) routed to serial in-process "
-                "execution — skipping pool/pickle overhead",
+                "execution — skipping worker start",
                 len(missing),
             )
             run_serial(missing)
@@ -387,11 +384,12 @@ class ParallelSweepRunner(SweepRunner):
             (lambda k: (k[0], k[2], k[3], k[4])) if trace_dir is not None else None
         )
 
-        # Degradation chain: the configured executor, then (when that
-        # executor was a fleet) the local pool, then serial.
+        # Degradation chain: the configured executor; a local fleet of
+        # the same size when that one reached past this machine; serial.
         chain: List[SweepExecutor] = [self.executor]
-        if isinstance(self.executor, MultiHostExecutor):
-            chain.append(LocalPoolExecutor())
+        specs = [h.host for h in getattr(self.executor, "hosts", ())]
+        if any(spec not in LOCAL_HOSTS for spec in specs):
+            chain.append(MultiHostExecutor(["local"] * len(specs)))
         layer = 0
         executor = chain[layer]
         rebuilds_at_layer = 0
@@ -498,12 +496,6 @@ class ParallelSweepRunner(SweepRunner):
                         0.0, min(deadlines.values()) - time.monotonic()
                     )
                 event = executor.next_event(wait_for)
-                if event is None and wait_for is None:
-                    # The executor went quiet with work outstanding and
-                    # no deadline to wake us — it lost track of its
-                    # futures.  Tear it down; the cells re-queue below.
-                    broken = True
-                    break
                 while event is not None and not broken:
                     if event.kind == "heartbeat":
                         emit("on_host_heartbeat", event.host, event.payload)
@@ -565,12 +557,8 @@ class ParallelSweepRunner(SweepRunner):
                                 error=event.error or "host lost",
                                 cause=event.cause,
                             )
-                        if event.payload.get("remote"):
-                            report.host_losses += 1
-                            emit(
-                                "on_host_lost",
-                                event.host, event.error, n_requeued,
-                            )
+                        report.host_losses += 1
+                        emit("on_host_lost", event.host, event.error, n_requeued)
                         if event.fatal:
                             broken = True
                         break

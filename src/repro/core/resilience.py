@@ -50,7 +50,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -142,8 +141,7 @@ class FaultPlan:
     what lets a retried cell eventually succeed, deterministically.
 
     ``scope="worker"`` (the default) arms the plan only inside sweep
-    workers — multiprocessing pool children and ``repro worker`` host
-    processes (which set ``REPRO_WORKER=1``) — so a sweep that degrades
+    host workers (which set ``REPRO_WORKER=1``) — so a sweep that degrades
     to in-process serial execution escapes the injected faults —
     exactly the behaviour graceful degradation is for.  ``scope="any"``
     also arms the main process (used by the resume-after-kill tests to
@@ -192,11 +190,7 @@ class FaultPlan:
     # -- selection ----------------------------------------------------------
     def armed(self) -> bool:
         """Is the plan active in *this* process (scope check)?"""
-        if self.scope == "any":
-            return True
-        if os.environ.get("REPRO_WORKER") == "1":
-            return True  # a `repro worker` host process
-        return multiprocessing.parent_process() is not None
+        return self.scope == "any" or os.environ.get("REPRO_WORKER") == "1"
 
     def _hits(self, cid: str) -> int:
         try:
@@ -364,6 +358,7 @@ class SweepReport:
     retries: int = 0
     timeouts: int = 0
     crashes: int = 0
+    #: Executor teardowns: each restarts or replaces the worker fleet.
     pool_rebuilds: int = 0
     host_losses: int = 0
     requeues: int = 0
@@ -402,7 +397,7 @@ class SweepReport:
             out.append(
                 f"resilience: {self.retries} retries "
                 f"({self.crashes} worker crashes, {self.timeouts} timeouts, "
-                f"{self.pool_rebuilds} pool rebuilds)"
+                f"{self.pool_rebuilds} executor teardowns)"
             )
         if self.host_losses:
             out.append(
@@ -411,7 +406,7 @@ class SweepReport:
             )
         if self.degraded:
             out.append(
-                "resilience: pool unhealthy — degraded to in-process "
+                "resilience: workers unhealthy — degraded to in-process "
                 "serial execution"
             )
         for f in self.failed:

@@ -1,9 +1,11 @@
-"""Length-prefixed JSON frame protocol for distributed sweep hosts.
+"""Length-prefixed JSON frame protocol for sweep worker hosts.
 
-A coordinator (`:class:`~repro.core.executors.SubprocessHostExecutor`)
-and a host worker (``repro worker``, :mod:`repro.core.hostworker`) talk
-over a byte pipe — the worker's stdin/stdout, which is also exactly
-what an ``ssh host repro worker`` transport provides.  Every message is
+A coordinator (:class:`~repro.core.executors.SubprocessHostExecutor`)
+and a host worker (:mod:`repro.core.hostworker`) talk over a pair of
+byte pipes — two ``os.pipe()``\ s for a worker forked from the
+coordinator, the stdin/stdout of a spawned ``repro worker``, which is
+also exactly what an ``ssh host repro worker`` transport provides.
+Every message is
 one *frame*: a 4-byte big-endian payload length followed by that many
 bytes of UTF-8 JSON.  The length prefix makes framing self-describing
 (no sentinels inside payloads to escape) and makes desynchronization
@@ -22,13 +24,13 @@ Message vocabulary (``op`` field):
 coordinator -> worker
     * ``config`` — the :class:`WorkerContext` (sim/tpch/cache dirs) and
       the coordinator's ``code`` version; sent once, immediately after
-      spawn.
+      the worker starts.
     * ``chunk`` — ``{token, cells: [[q, p, np, rep, mode], ...]}``; the
       worker runs the cells in order.
     * ``shutdown`` — clean exit request (EOF on stdin means the same).
 
 worker -> coordinator
-    * ``hello`` — ``{host_cpus, pid}``; first frame after spawn, the
+    * ``hello`` — ``{host_cpus, pid}``; first frame after start, the
       per-host topology record the scaling benchmarks publish.
     * ``heartbeat`` — ``{token, n_cells}`` at chunk start (liveness).
     * ``refused`` — ``{error}``: the worker's code version differs from

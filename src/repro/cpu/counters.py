@@ -110,8 +110,8 @@ CounterSnapshot = make_dataclass(
         "scaled": _scaled,
     },
 )
-# Pin the identity so instances pickle by reference across the
-# parallel-sweep process pool on every supported Python version.
+# Pin the identity so instances pickle by reference on every
+# supported Python version.
 CounterSnapshot.__module__ = __name__
 CounterSnapshot.__qualname__ = "CounterSnapshot"
 CounterSnapshot.__doc__ = (

@@ -76,11 +76,11 @@ KERNEL_EVENTS: Tuple[str, ...] = (
 #:   deterministic error); the sweep continues without the cell.
 #: * ``on_sweep_degraded(reason)`` — the active executor was declared
 #:   unhealthy and the engine fell down the degradation chain
-#:   (multi-host → local pool → serial in-process).
+#:   (configured fleet → local fleet → serial in-process).
 #:
-#: Distributed sweeps add per-host lifecycle events (emitted by the
-#: engine as it consumes executor events, so they flow whether chunks
-#: run in a local pool or on remote hosts):
+#: Host fleets add per-host lifecycle events (emitted by the engine as
+#: it consumes executor events, so they flow whether chunks run on
+#: local or on remote hosts):
 #:
 #: * ``on_chunk_dispatch(host, token, n_cells)`` — a chunk was shipped
 #:   to ``host`` under opaque id ``token``.

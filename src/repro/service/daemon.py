@@ -35,8 +35,8 @@ Design decisions, in terms of the layers underneath:
   once (asserted by ``tests/test_service.py`` with cache-hit
   counters).  Within a job, parallelism is the executor's business:
   the daemon passes its ``--jobs``/``--hosts`` configuration through
-  :func:`~repro.core.executors.select_executor`, so serial, local
-  pool, and multi-host fleets all serve.
+  :func:`~repro.core.executors.select_executor`, so serial runs and
+  fleets of local or remote hosts all serve.
 * **Crash recovery is checkpoint-backed.**  Every job is journaled to
   disk on each state change, and every sweep runs under a
   :class:`~repro.core.resilience.CheckpointManifest` next to the

@@ -28,7 +28,7 @@ before being reported, so the reproducer in the report is small.
 A few rounds per campaign additionally cross-check the serial
 :class:`~repro.core.sweep.SweepRunner` against the
 :class:`~repro.core.parallel.ParallelSweepRunner` on a real (tiny)
-experiment cell, covering the process-pool path the synthetic traces
+experiment cell, covering the worker-host path the synthetic traces
 cannot reach — and capture a real cell's workload tape with
 :func:`~repro.trace.capture.capture_workload`, replaying it on both
 machines against direct execution, covering the full capture → replay
@@ -70,7 +70,7 @@ class FuzzFailure:
     seed: int
     platform: str
     #: ``counter-divergence`` (legs disagree), ``invariant`` (checker
-    #: fired), ``parallel-divergence`` (serial vs pool results), or
+    #: fired), ``parallel-divergence`` (serial vs parallel results), or
     #: ``replay-divergence`` (captured tape replays differently than
     #: direct execution).
     kind: str
@@ -339,8 +339,10 @@ def shrink_trace(
 
 # -- the campaign ------------------------------------------------------------
 def _parallel_cell_check(rng: random.Random) -> Optional[str]:
-    """Run one random tiny cell serially and through the process pool;
-    return a description of any divergence (None = agreement)."""
+    """Run a random tiny cell and its other process count serially and
+    over two forked worker hosts; return a description of any
+    divergence (None = agreement).  Two cells, because the sweep engine
+    runs a lone missing cell in-process."""
     import dataclasses
 
     from ..config import TEST_SIM
@@ -350,15 +352,15 @@ def _parallel_cell_check(rng: random.Random) -> Optional[str]:
     from ..tpch.datagen import TPCHConfig
 
     tpch = TPCHConfig(sf=0.0004, seed=20020411)
-    cell = (
-        rng.choice(("Q6", "Q12")),
-        rng.choice(FUZZ_PLATFORMS),
-        rng.choice((1, 2)),
-    )
-    serial = SweepRunner(sim=TEST_SIM, tpch=tpch).cell(*cell)
-    pooled = ParallelSweepRunner(
+    query = rng.choice(("Q6", "Q12"))
+    plat = rng.choice(FUZZ_PLATFORMS)
+    n_procs = rng.choice((1, 2))
+    cells = [(query, plat, n_procs), (query, plat, 3 - n_procs)]
+    serial = SweepRunner(sim=TEST_SIM, tpch=tpch)
+    parallel = ParallelSweepRunner(
         sim=TEST_SIM, tpch=tpch, executor=select_executor(jobs=2)
-    ).cell(*cell)
+    )
+    parallel.prewarm(cells)
 
     def key(res):
         return [
@@ -372,8 +374,9 @@ def _parallel_cell_check(rng: random.Random) -> Optional[str]:
             for run in res.runs
         ]
 
-    if key(serial) != key(pooled):
-        return f"cell {cell}: serial and pooled results diverge"
+    for cell in cells:
+        if key(serial.cell(*cell)) != key(parallel.cell(*cell)):
+            return f"cell {cell}: serial and parallel results diverge"
     return None
 
 
@@ -438,7 +441,7 @@ def fuzz(
     failure (shrunk if ``shrink``).
 
     ``parallel_checks`` (default ``max(1, budget // 100)``) serial-vs-
-    pool cross-checks run at the end of a clean campaign; pass 0 to
+    parallel cross-checks run at the end of a clean campaign; pass 0 to
     skip them (they build a tiny TPC-H database).  ``replay_checks``
     capture-vs-replay cross-checks follow (default: same count as the
     parallel checks).  ``memsys_factory`` exists for the self-tests:

@@ -41,10 +41,9 @@ EXPECTED_API = [
     # sweeps: serial, parallel/resilient, persistence
     "SweepRunner",
     "ParallelSweepRunner",
-    # execution backends (serial / local pool / multi-host)
+    # execution backends (serial / host fleet)
     "select_executor",
     "SweepExecutor",
-    "LocalPoolExecutor",
     "SubprocessHostExecutor",
     "MultiHostExecutor",
     "ResultCache",

@@ -1,12 +1,13 @@
-"""Distributed sweeps over subprocess hosts: equivalence and faults.
+"""Distributed sweeps over worker hosts: equivalence, wire, versions.
 
-The distributed path changes *where* cells run — worker subprocesses
+The distributed path changes *where* cells run — worker processes
 speaking the :mod:`repro.core.wire` frame protocol — and nothing else:
 every grid must come back bitwise-identical to a serial sweep.  These
-tests drive a real two-host fleet (``--hosts local,local``) through
-the fault checklist: a host lost mid-chunk, a hung host against the
-deadline, a corrupted payload, a garbage-speaking transport, and a
-coordinator killed ``-9`` and resumed from its checkpoint manifest.
+tests drive a real two-host fleet (``--hosts local,local``) and check
+host specs, wire frames, the one-code-version rule, and a coordinator
+killed ``-9`` and resumed from its checkpoint manifest.  The fault
+checklist every executor shares lives in ``tests/test_resilience.py``
+(``TestEngineUnderFaults``).
 """
 
 from __future__ import annotations
@@ -23,11 +24,7 @@ import pytest
 
 import repro
 from tests.conftest import TINY_TPCH
-from tests.test_resilience import (
-    CELLS,
-    arm,
-    assert_grid_matches_serial,
-)
+from tests.test_resilience import CELLS, assert_grid_matches_serial
 from tests.test_resume_kill import (
     FROZEN_CELL_MATCH,
     SWEEP_ARGS,
@@ -38,14 +35,13 @@ from tests.test_resume_kill import (
 from repro.cli import main
 from repro.config import TEST_SIM
 from repro.core.executors import (
-    LocalPoolExecutor,
     MultiHostExecutor,
     host_argv,
     parse_hosts,
     select_executor,
 )
 from repro.core.parallel import ParallelSweepRunner
-from repro.core.resilience import FAULT_ENV, FaultPlan, validate_result
+from repro.core.resilience import FAULT_ENV, FaultPlan
 from repro.core import resultcache
 from repro.core.resultcache import ResultCache, code_version
 from repro.core.wire import (
@@ -101,7 +97,9 @@ class TestHostSpecs:
     def test_select_executor_routes_hosts(self):
         ex = select_executor(jobs=4, hosts="2")
         assert isinstance(ex, MultiHostExecutor) and len(ex.hosts) == 2
-        assert isinstance(select_executor(jobs=2), LocalPoolExecutor)
+        jobs = select_executor(jobs=2)
+        assert isinstance(jobs, MultiHostExecutor)
+        assert [h.host for h in jobs.hosts] == ["local", "local"]
         assert select_executor(jobs=1) is None
 
 
@@ -166,98 +164,6 @@ class TestDistributedEqualsSerial:
         out = capsys.readouterr().out
         payload = json.loads(out)["data"]
         assert rc == 0 and payload["ok"] and payload["total"] == 1
-
-
-class TestDistributedFaults:
-    """The resilience contracts survive the hop across processes: the
-    worker-scoped fault plans arm inside subprocess hosts (via
-    ``REPRO_WORKER=1``), never in the coordinator."""
-
-    def test_host_lost_mid_chunk_requeues_to_survivor(
-        self, monkeypatch, tmp_path
-    ):
-        # the crash fires inside one worker and takes the whole host
-        # down (os._exit), so the coordinator sees EOF mid-chunk
-        arm(monkeypatch, tmp_path, kind="crash", match="Q6:sgi:2")
-        cache = ResultCache(tmp_path / "cache")
-        runner = make_distributed(cache=cache)
-        recorder = SweepEventRecorder()
-        report = runner.execute(CELLS, sinks=[recorder])
-        assert report.ok and report.ran == len(CELLS)
-        assert report.host_losses >= 1 and report.crashes >= 1
-        assert report.requeues >= 1
-        assert recorder.counts["hosts_lost"] >= 1
-        assert recorder.counts["requeued"] >= 1
-        # zero recomputed finished cells: each cell completed exactly once
-        assert recorder.counts["done"] == len(CELLS)
-        monkeypatch.delenv(FAULT_ENV)
-        assert_grid_matches_serial(runner, CELLS)
-
-    def test_hung_host_hits_deadline(self, monkeypatch, tmp_path):
-        arm(monkeypatch, tmp_path, kind="hang", hang_s=30.0,
-            match="Q6:hpv:1")
-        runner = make_distributed()
-        recorder = SweepEventRecorder()
-        report = runner.execute(CELLS, timeout_s=1.5, sinks=[recorder])
-        assert report.ok and report.ran == len(CELLS)
-        assert report.timeouts >= 1
-        assert recorder.counts["timeout"] >= 1
-        monkeypatch.delenv(FAULT_ENV)
-        assert_grid_matches_serial(runner, CELLS)
-
-    def test_corrupt_payload_is_retried_never_stored(
-        self, monkeypatch, tmp_path
-    ):
-        arm(monkeypatch, tmp_path, kind="corrupt", match="Q6:hpv:2")
-        cache = ResultCache(tmp_path / "cache")
-        runner = make_distributed(cache=cache)
-        report = runner.execute(CELLS)
-        assert report.ok and report.retries >= 1
-        monkeypatch.delenv(FAULT_ENV)
-        for cell in CELLS:
-            res = runner.cell(cell)
-            assert validate_result(res.spec, res) is None
-        # nothing corrupt leaked into the shared cache
-        reread = ResultCache(tmp_path / "cache")
-        assert len(reread) == len(CELLS)
-        assert_grid_matches_serial(runner, CELLS)
-
-    def test_persistent_corruption_quarantines_the_cell(
-        self, monkeypatch, tmp_path
-    ):
-        # no shared cache and an inexhaustible fault ledger: every
-        # attempt comes back mangled, so the cell must quarantine and
-        # the rest of the grid must still complete
-        arm(monkeypatch, tmp_path, kind="corrupt", match="Q6:hpv:2",
-            max_hits=10_000)
-        runner = make_distributed()
-        recorder = SweepEventRecorder()
-        report = runner.execute(CELLS, sinks=[recorder])
-        assert not report.ok
-        (failure,) = report.failed
-        assert failure.kind == "corrupt"
-        assert failure.key == ("Q6", "hpv", 2, 1, "default")
-        assert recorder.counts["quarantined"] == 1
-        assert report.ran == len(CELLS) - 1
-        monkeypatch.delenv(FAULT_ENV)
-        good = [c for c in CELLS if c != ("Q6", "hpv", 2)]
-        assert_grid_matches_serial(runner, good)
-
-    def test_garbage_transport_degrades_to_local_pool(self, monkeypatch):
-        monkeypatch.delenv(FAULT_ENV, raising=False)
-        # both "hosts" print junk instead of speaking the frame
-        # protocol: the fleet is lost, and the degradation ladder
-        # (multi-host -> local pool -> serial) must still finish the grid
-        junk = f'cmd:{sys.executable} -c "print(12345678)"'
-        runner = make_distributed(hosts=[junk, junk])
-        recorder = SweepEventRecorder()
-        report = runner.execute(
-            CELLS, max_pool_rebuilds=0, sinks=[recorder]
-        )
-        assert report.ok and report.ran == len(CELLS)
-        assert report.degraded
-        assert recorder.counts["degraded"] >= 1
-        assert_grid_matches_serial(runner, CELLS)
 
 
 #: A ``cmd:`` host whose worker reports a code version of its own.

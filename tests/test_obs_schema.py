@@ -109,9 +109,8 @@ class TestSnapshotProperties:
         assert tuple(CounterSnapshot().to_dict()) == schema.SNAPSHOT_FIELD_NAMES
 
     def test_generated_class_pickles(self):
-        """CounterSnapshot crosses the parallel-sweep process pool
-        inside ExperimentResult; the generated class must pickle by
-        reference."""
+        """The generated class must pickle by reference, like a
+        hand-written dataclass."""
         snap = random_snapshot(random.Random(11))
         assert pickle.loads(pickle.dumps(snap)) == snap
 

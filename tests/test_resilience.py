@@ -5,7 +5,7 @@ rides out injected crashes, hangs, and corrupted results must still
 produce results bitwise-equal to an undisturbed serial sweep — these
 tests inject each fault class through the production
 :func:`~repro.core.resilience.run_cell_guarded` choke point and assert
-exactly that, plus the engine's accounting (retries, pool rebuilds,
+exactly that, plus the engine's accounting (retries, host losses,
 quarantine, graceful degradation) and the checkpoint manifest.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 
 import pytest
 
@@ -20,7 +21,7 @@ from tests.conftest import TINY_TPCH
 from tests.test_parallel_sweep import result_key
 
 from repro.config import TEST_SIM
-from repro.core.executors import select_executor
+from repro.core.executors import MultiHostExecutor, select_executor
 from repro.core.parallel import ParallelSweepRunner
 from repro.core.resilience import (
     FAULT_ENV,
@@ -187,28 +188,57 @@ class TestValidateResult:
 
 
 class TestEngineUnderFaults:
-    """End-to-end: each fault class injected into real worker pools."""
+    """End-to-end: each fault class injected into real worker hosts.
 
-    def test_worker_crash_is_ridden_out(self, monkeypatch, tmp_path):
+    ``jobs=2`` is two hosts forked from the test process; the crash
+    case also runs over two spawned ``repro worker`` hosts, the
+    transport ``ssh:``/``cmd:`` hosts use.  Worker-scoped fault plans
+    arm inside the hosts (``REPRO_WORKER=1``), never in the
+    coordinator."""
+
+    def ride_out_crash(self, monkeypatch, tmp_path, executor):
+        # the crash fires inside one worker and takes its host down
+        # (os._exit), so the coordinator sees EOF mid-chunk
         arm(monkeypatch, tmp_path, kind="crash", match="Q6:sgi:2")
-        runner = make_runner(jobs=2)
+        runner = ParallelSweepRunner(
+            sim=TEST_SIM, tpch=TINY_TPCH,
+            cache=ResultCache(tmp_path / "cache"), executor=executor,
+        )
         recorder = SweepEventRecorder()
         report = runner.execute(CELLS, sinks=[recorder])
         assert report.ok and report.ran == len(CELLS)
-        assert report.crashes >= 1 and report.pool_rebuilds >= 1
+        assert report.crashes >= 1 and report.host_losses >= 1
+        assert report.requeues >= 1
         assert recorder.counts["retry"] >= 1
+        assert recorder.counts["hosts_lost"] >= 1
+        assert recorder.counts["requeued"] >= 1
+        # zero recomputed finished cells: each cell completed exactly once
+        assert recorder.counts["done"] == len(CELLS)
         monkeypatch.delenv(FAULT_ENV)
         assert_grid_matches_serial(runner, CELLS)
 
+    def test_worker_crash_is_ridden_out(self, monkeypatch, tmp_path):
+        self.ride_out_crash(monkeypatch, tmp_path, select_executor(jobs=2))
+
+    def test_host_lost_mid_chunk_requeues_to_survivor(
+        self, monkeypatch, tmp_path
+    ):
+        spawned = f"cmd:{sys.executable} -m repro worker"
+        self.ride_out_crash(
+            monkeypatch, tmp_path, MultiHostExecutor([spawned, spawned])
+        )
+
     def test_corrupt_result_is_retried_never_stored(self, monkeypatch, tmp_path):
         arm(monkeypatch, tmp_path, kind="corrupt", match="Q6:hpv:2")
-        runner = make_runner(jobs=2)
+        runner = make_runner(jobs=2, cache=ResultCache(tmp_path / "cache"))
         report = runner.execute(CELLS)
         assert report.ok and report.retries >= 1
         monkeypatch.delenv(FAULT_ENV)
         for cell in CELLS:
             res = runner.cell(cell)
             assert validate_result(res.spec, res) is None
+        # nothing corrupt leaked into the shared cache
+        assert len(ResultCache(tmp_path / "cache")) == len(CELLS)
         assert_grid_matches_serial(runner, CELLS)
 
     def test_hung_worker_hits_deadline(self, monkeypatch, tmp_path):
@@ -217,13 +247,16 @@ class TestEngineUnderFaults:
         recorder = SweepEventRecorder()
         report = runner.execute(CELLS, timeout_s=1.5, sinks=[recorder])
         assert report.ok and report.ran == len(CELLS)
-        assert report.timeouts >= 1 and report.pool_rebuilds >= 1
+        # the hung host was killed and its cell re-queued long before
+        # the hang would have ended on its own
+        assert report.timeouts >= 1 and recorder.counts["requeued"] >= 1
+        assert report.duration_s < 30.0
         assert recorder.counts["timeout"] >= 1
         monkeypatch.delenv(FAULT_ENV)
         assert_grid_matches_serial(runner, CELLS)
 
     def test_degrades_to_serial_when_pool_unhealthy(self, monkeypatch, tmp_path):
-        # every cell crashes in every worker, forever: the pool can
+        # every cell crashes in every worker, forever: the fleet can
         # never become healthy, so the engine must fall back to serial
         # in-process execution — where the worker-scoped plan is unarmed.
         arm(monkeypatch, tmp_path, kind="crash", max_hits=10_000)
@@ -238,6 +271,47 @@ class TestEngineUnderFaults:
         assert recorder.counts["degraded"] == 1
         monkeypatch.delenv(FAULT_ENV)
         assert_grid_matches_serial(runner, CELLS[:3])
+
+    def test_persistent_corruption_quarantines_the_cell(
+        self, monkeypatch, tmp_path
+    ):
+        # no shared cache and an inexhaustible fault ledger: every
+        # attempt comes back mangled, so the cell must quarantine and
+        # the rest of the grid must still complete
+        arm(monkeypatch, tmp_path, kind="corrupt", match="Q6:hpv:2",
+            max_hits=10_000)
+        runner = make_runner(jobs=2)
+        recorder = SweepEventRecorder()
+        report = runner.execute(CELLS, sinks=[recorder])
+        assert not report.ok
+        (failure,) = report.failed
+        assert failure.kind == "corrupt"
+        assert failure.key == ("Q6", "hpv", 2, 1, "default")
+        assert recorder.counts["quarantined"] == 1
+        assert report.ran == len(CELLS) - 1
+        monkeypatch.delenv(FAULT_ENV)
+        good = [c for c in CELLS if c != ("Q6", "hpv", 2)]
+        assert_grid_matches_serial(runner, good)
+
+    def test_garbage_transport_degrades_to_local_fleet(self, monkeypatch):
+        monkeypatch.delenv(FAULT_ENV, raising=False)
+        # both "hosts" print junk instead of speaking the frame
+        # protocol: the fleet is lost, and the degradation ladder
+        # (configured fleet -> local fleet -> serial) must still
+        # finish the grid
+        junk = f'cmd:{sys.executable} -c "print(12345678)"'
+        runner = ParallelSweepRunner(
+            sim=TEST_SIM, tpch=TINY_TPCH,
+            executor=MultiHostExecutor([junk, junk]),
+        )
+        recorder = SweepEventRecorder()
+        report = runner.execute(
+            CELLS, max_pool_rebuilds=0, sinks=[recorder]
+        )
+        assert report.ok and report.ran == len(CELLS)
+        assert report.degraded
+        assert recorder.counts["degraded"] >= 1
+        assert_grid_matches_serial(runner, CELLS)
 
     def test_deterministic_error_quarantines_not_retries(self):
         # 64 procs exceeds the machine CPU count inside run_experiment:
@@ -266,7 +340,7 @@ class TestEngineUnderFaults:
 
 
 class TestSerialRouting:
-    """jobs=1 (or a single missing cell) must skip the pool entirely."""
+    """jobs=1 (or a single missing cell) must start no worker at all."""
 
     def test_jobs1_routes_serial(self, caplog):
         runner = make_runner(jobs=1)

@@ -138,3 +138,59 @@ class TestResumeAfterKill:
         payload = json.loads(captured.out)["data"]
         assert rc == 0
         assert payload["ran"] == 0 and payload["memoized"] == 2
+
+
+def children_of(pid: int) -> set:
+    """The live children of ``pid``, read from ``/proc``."""
+    kids = set()
+    for path in Path(f"/proc/{pid}/task").glob("*/children"):
+        kids.update(int(tok) for tok in path.read_text().split())
+    return kids
+
+
+def has_exited(pid: int) -> bool:
+    """Gone, or a zombie waiting for its new parent to reap it."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/task").exists(), reason="reads children from /proc"
+)
+class TestNoOrphanWorkers:
+    def test_workers_exit_after_the_coordinator_is_killed(self, tmp_path):
+        # a worker-scoped hang holds one cell in one worker while the
+        # other worker finishes its cell; then the coordinator dies
+        hang_s = 5.0
+        cache_dir = tmp_path / "cache"
+        plan = FaultPlan(
+            kind="hang", ledger=str(tmp_path / "ledger"),
+            hang_s=hang_s, match=FROZEN_CELL_MATCH,
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        env[FAULT_ENV] = plan.to_env()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro"] + SWEEP_ARGS
+            + ["--jobs", "2", "--cache-dir", str(cache_dir)],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            wait_for_first_cell_done(cache_dir)
+            workers = children_of(proc.pid)
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=30)
+        assert len(workers) == 2
+        deadline = time.monotonic() + hang_s + 10.0
+        while time.monotonic() < deadline:
+            workers = {pid for pid in workers if not has_exited(pid)}
+            if not workers:
+                break
+            time.sleep(0.1)
+        assert not workers, f"workers {sorted(workers)} outlived the coordinator"
