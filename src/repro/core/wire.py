@@ -2,7 +2,7 @@
 
 A coordinator (:class:`~repro.core.executors.SubprocessHostExecutor`)
 and a host worker (:mod:`repro.core.hostworker`) talk over a pair of
-byte pipes — two ``os.pipe()``\ s for a worker forked from the
+byte pipes — two ``os.pipe()`` pairs for a worker forked from the
 coordinator, the stdin/stdout of a spawned ``repro worker``, which is
 also exactly what an ``ssh host repro worker`` transport provides.
 Every message is

@@ -156,6 +156,17 @@ class TestDistributedEqualsSerial:
         assert result_files(dist_dir) == result_files(ref_dir)
         assert len(result_files(dist_dir)) == payload["total"]
 
+    def test_local_hosts_spawn_where_fork_is_missing(self, monkeypatch):
+        monkeypatch.delenv(FAULT_ENV, raising=False)
+        monkeypatch.delattr(os, "fork")
+        runner = make_distributed()
+        recorder = SweepEventRecorder()
+        report = runner.execute(CELLS, sinks=[recorder])
+        assert report.ok and report.host_losses == 0 and not report.degraded
+        # each host said hello from a `repro worker` interpreter of its own
+        assert len(recorder.host_cpus) == 2
+        assert_grid_matches_serial(runner, CELLS)
+
     def test_hosts_env_var_routes_distributed(self, tmp_path, capsys,
                                               monkeypatch):
         monkeypatch.setenv("REPRO_HOSTS", "2")
