@@ -7,7 +7,8 @@ tests drive a real two-host fleet (``--hosts local,local``) and check
 host specs, wire frames, the one-code-version rule, and a coordinator
 killed ``-9`` and resumed from its checkpoint manifest.  The fault
 checklist every executor shares lives in ``tests/test_resilience.py``
-(``TestEngineUnderFaults``).
+(``TestEngineUnderFaults``); ``TestDistributedFaults`` runs its hang
+and corrupt cases over spawned ``repro worker`` hosts as well.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import pytest
 
 import repro
 from tests.conftest import TINY_TPCH
-from tests.test_resilience import CELLS, assert_grid_matches_serial
+from tests.test_resilience import CELLS, arm, assert_grid_matches_serial
 from tests.test_resume_kill import (
     FROZEN_CELL_MATCH,
     SWEEP_ARGS,
@@ -41,7 +42,7 @@ from repro.core.executors import (
     select_executor,
 )
 from repro.core.parallel import ParallelSweepRunner
-from repro.core.resilience import FAULT_ENV, FaultPlan
+from repro.core.resilience import FAULT_ENV, FaultPlan, validate_result
 from repro.core import resultcache
 from repro.core.resultcache import ResultCache, code_version
 from repro.core.wire import (
@@ -175,6 +176,48 @@ class TestDistributedEqualsSerial:
         out = capsys.readouterr().out
         payload = json.loads(out)["data"]
         assert rc == 0 and payload["ok"] and payload["total"] == 1
+
+
+#: A host that starts ``repro worker`` in an interpreter of its own,
+#: the transport ``ssh:`` and ``cmd:`` hosts use.
+SPAWNED_HOST = f"cmd:{sys.executable} -m repro worker"
+
+
+class TestDistributedFaults:
+    """The resilience contracts survive the hop into spawned
+    interpreters: the worker-scoped fault plans arm inside the ``repro
+    worker`` hosts (via ``REPRO_WORKER=1``), never in the coordinator."""
+
+    def test_hung_host_hits_deadline(self, monkeypatch, tmp_path):
+        arm(monkeypatch, tmp_path, kind="hang", hang_s=30.0,
+            match="Q6:hpv:1")
+        runner = make_distributed(hosts=[SPAWNED_HOST, SPAWNED_HOST])
+        recorder = SweepEventRecorder()
+        report = runner.execute(CELLS, timeout_s=1.5, sinks=[recorder])
+        assert report.ok and report.ran == len(CELLS)
+        assert report.timeouts >= 1
+        assert recorder.counts["timeout"] >= 1
+        monkeypatch.delenv(FAULT_ENV)
+        assert_grid_matches_serial(runner, CELLS)
+
+    def test_corrupt_payload_is_retried_never_stored(
+        self, monkeypatch, tmp_path
+    ):
+        arm(monkeypatch, tmp_path, kind="corrupt", match="Q6:hpv:2")
+        runner = make_distributed(
+            hosts=[SPAWNED_HOST, SPAWNED_HOST],
+            cache=ResultCache(tmp_path / "cache"),
+        )
+        report = runner.execute(CELLS)
+        assert report.ok and report.retries >= 1
+        monkeypatch.delenv(FAULT_ENV)
+        for cell in CELLS:
+            res = runner.cell(cell)
+            assert validate_result(res.spec, res) is None
+        # nothing corrupt leaked into the shared cache
+        reread = ResultCache(tmp_path / "cache")
+        assert len(reread) == len(CELLS)
+        assert_grid_matches_serial(runner, CELLS)
 
 
 #: A ``cmd:`` host whose worker reports a code version of its own.
