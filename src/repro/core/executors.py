@@ -35,6 +35,7 @@ one.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import queue
 import shlex
@@ -44,6 +45,7 @@ import sys
 import threading
 import time
 import traceback
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -63,6 +65,11 @@ from .wire import (
 
 #: Host specs that name this machine.
 LOCAL_HOSTS = ("local", "localhost")
+
+#: The coordinator's ends of every host's pipes in this process, over
+#: all fleets.  A forked worker closes each one still open, so every
+#: worker's input has the coordinator as its only writer.
+_PIPE_ENDS: "weakref.WeakSet" = weakref.WeakSet()
 
 
 class ExecutorError(ReproError):
@@ -150,9 +157,13 @@ class SweepExecutor:
         """Clean shutdown (all work done)."""
         raise NotImplementedError
 
-    def host_info(self) -> Dict[str, dict]:
-        """Per-host topology (``{label: {"host_cpus": ...}}``)."""
-        return {}
+
+def _next(events: "queue.Queue", timeout: Optional[float]) -> Optional[ExecEvent]:
+    """The next event on ``events`` within ``timeout`` seconds."""
+    try:
+        return events.get(timeout=None if timeout is None else max(0.0, timeout))
+    except queue.Empty:
+        return None
 
 
 def host_argv(spec: str) -> List[str]:
@@ -216,15 +227,16 @@ class _ForkedWorker:
     """A ``local`` host forked from the coordinator.
 
     The child closes the coordinator's pipe ends — its own and every
-    fleet sibling's, so each worker's stdin has exactly one writer and
-    reads EOF the moment the coordinator dies — serves
+    other host's (:data:`_PIPE_ENDS`), so each worker's stdin has
+    exactly one writer and reads EOF the moment the coordinator dies —
+    points fd 1 at stderr as ``repro worker`` does, serves
     :func:`~repro.core.hostworker.serve` over its two pipes, and always
     leaves through ``os._exit``: it never returns into the coordinator's
     stack.  The parent gets the slice of :class:`subprocess.Popen` the
     host executor uses (``stdin``, ``stdout``, ``poll``, ``wait``,
     ``kill``)."""
 
-    def __init__(self, inherited: Sequence[int]) -> None:
+    def __init__(self) -> None:
         from .hostworker import serve
 
         down_r, down_w = os.pipe()
@@ -232,9 +244,13 @@ class _ForkedWorker:
         pid = os.fork()
         if pid == 0:
             code = 1
+            # Held until os._exit, so no inherited stream is finalized
+            # (and its fd number closed again) while the worker runs.
+            inherited = [s for s in list(_PIPE_ENDS) if not s.closed]
             try:
-                for fd in (down_w, up_r, *inherited):
+                for fd in (down_w, up_r, *(s.fileno() for s in inherited)):
                     os.close(fd)
+                os.dup2(2, 1)  # a stray print must not reach the caller's stdout
                 code = serve(os.fdopen(down_r, "rb"), os.fdopen(up_w, "wb"))
             except BaseException:
                 traceback.print_exc()
@@ -281,11 +297,12 @@ class SubprocessHostExecutor(SweepExecutor):
     ``os.fork`` does not exist, runs :func:`host_argv`'s command with
     the pipes on its stdio.  A reader thread drains the worker's output
     into an event queue (optionally shared with sibling hosts by
-    :class:`MultiHostExecutor`, which also passes the sibling list as
-    ``fleet``); the other pipe carries config and chunk frames.  Any
-    stream surprise — EOF with chunks in flight, a garbage frame, a
-    refusal — declares the host *lost*: its in-flight tokens ride out on
-    one ``lost`` event and the process is killed, never limped along.
+    :class:`MultiHostExecutor`); the other pipe carries config and chunk
+    frames.  Any stream surprise — EOF with chunks in flight, a garbage
+    frame, a refusal — declares the host *lost*: its in-flight tokens
+    ride out on one ``lost`` event and the process is killed, never
+    limped along.  A host that refused the sweep for its code version
+    stays ``refused``: :meth:`start` will not bring it up again.
     """
 
     def __init__(
@@ -293,22 +310,19 @@ class SubprocessHostExecutor(SweepExecutor):
         host: str = "local",
         label: Optional[str] = None,
         events: Optional["queue.Queue"] = None,
-        fleet: Optional[List["SubprocessHostExecutor"]] = None,
     ) -> None:
         self.host = host
         self.label = label or host
         self.name = f"host:{self.label}"
         self._events: "queue.Queue" = events if events is not None else queue.Queue()
-        self._fleet = fleet if fleet is not None else [self]
         self._proc = None  # subprocess.Popen or _ForkedWorker
         self._context: Optional[WorkerContext] = None
         self._chunks: Dict[int, List[CellKey]] = {}
         self._lock = threading.Lock()
         self._dead = False
         self._expected_exit = False
-        #: Topology reported by the worker's hello frame.
-        self.host_cpus: Optional[int] = None
-        self.worker_pid: Optional[int] = None
+        #: Set when the worker refused this coordinator's code version.
+        self.refused = False
 
     def plan_workers(self, n_units: int) -> int:
         return 1  # one worker process per host
@@ -321,21 +335,12 @@ class SubprocessHostExecutor(SweepExecutor):
             and not self._dead
         )
 
-    def _pipe_fds(self) -> List[int]:
-        """The coordinator's open ends of this host's pipes."""
-        fds = []
-        if self._proc is not None:
-            for stream in (self._proc.stdin, self._proc.stdout):
-                if not stream.closed:
-                    fds.append(stream.fileno())
-        return fds
-
     def _fork(self, context: WorkerContext) -> _ForkedWorker:
         # Build the database and hash the sources before forking, so
         # the worker inherits both instead of making its own.
         DatabaseCache.get(context.tpch)
         code_version()
-        return _ForkedWorker([fd for h in self._fleet for fd in h._pipe_fds()])
+        return _ForkedWorker()
 
     def _spawn(self) -> subprocess.Popen:
         env = dict(os.environ)
@@ -360,6 +365,10 @@ class SubprocessHostExecutor(SweepExecutor):
     def start(self, context: WorkerContext, n_units: int = 0) -> None:
         if self.alive:
             return
+        if self.refused:
+            raise ExecutorError(
+                f"host {self.label} refused this coordinator's code version"
+            )
         self._context = context
         self._dead = False
         self._expected_exit = False
@@ -368,6 +377,8 @@ class SubprocessHostExecutor(SweepExecutor):
                 self._proc = self._fork(context)
             else:
                 self._proc = self._spawn()
+            _PIPE_ENDS.add(self._proc.stdin)
+            _PIPE_ENDS.add(self._proc.stdout)
             write_frame(self._proc.stdin, context.to_message())
         except (OSError, ValueError) as exc:
             self._proc = None
@@ -411,12 +422,10 @@ class SubprocessHostExecutor(SweepExecutor):
     def _handle(self, message: dict) -> None:
         op = message.get("op")
         if op == "hello":
-            self.host_cpus = message.get("host_cpus")
-            self.worker_pid = message.get("pid")
             self._events.put(ExecEvent(
                 kind="heartbeat", host=self.label,
-                payload={"hello": True, "host_cpus": self.host_cpus,
-                         "pid": self.worker_pid},
+                payload={"hello": True, "host_cpus": message.get("host_cpus"),
+                         "pid": message.get("pid")},
             ))
         elif op == "heartbeat":
             self._events.put(ExecEvent(
@@ -467,6 +476,9 @@ class SubprocessHostExecutor(SweepExecutor):
                 token=token if token is not None else -1, failure=fail,
             ))
         elif op == "refused":
+            # Set before anything else: a host killed while its refusal
+            # is still in the pipe must not be started again either.
+            self.refused = True
             raise CodeVersionError(
                 f"host {self.label} refused the sweep: {message.get('error')}"
             )
@@ -498,12 +510,7 @@ class SubprocessHostExecutor(SweepExecutor):
         return self.label
 
     def next_event(self, timeout: Optional[float]) -> Optional[ExecEvent]:
-        try:
-            if timeout is None:
-                return self._events.get()
-            return self._events.get(timeout=max(0.0, timeout))
-        except queue.Empty:
-            return None
+        return _next(self._events, timeout)
 
     def expire(self, tokens: Sequence[int]) -> Tuple[List[int], bool]:
         self.kill()
@@ -528,18 +535,9 @@ class SubprocessHostExecutor(SweepExecutor):
             self._dead = True
         proc = self._proc
         if proc is not None:
-            try:
-                proc.kill()
-            except Exception:
-                pass
-            try:
-                proc.stdin.close()
-            except Exception:
-                pass
-            try:
-                proc.wait(timeout=5)
-            except Exception:
-                pass
+            for step in (proc.kill, proc.stdin.close, lambda: proc.wait(timeout=5)):
+                with contextlib.suppress(Exception):
+                    step()
 
     def close(self) -> None:
         self._expected_exit = True
@@ -553,14 +551,6 @@ class SubprocessHostExecutor(SweepExecutor):
         except Exception:
             self.kill()
         self._proc = None
-
-    def host_info(self) -> Dict[str, dict]:
-        return {self.label: {
-            "spec": self.host,
-            "host_cpus": self.host_cpus,
-            "worker_pid": self.worker_pid,
-            "alive": self.alive,
-        }}
 
 
 class MultiHostExecutor(SweepExecutor):
@@ -584,8 +574,8 @@ class MultiHostExecutor(SweepExecutor):
         for i, spec in enumerate(parse_hosts(hosts)):
             self.hosts.append(SubprocessHostExecutor(
                 spec, label=f"{spec}#{i}", events=self._events,
-                fleet=self.hosts,
             ))
+        self.name = f"multi-host({','.join(h.host for h in self.hosts)})"
         self._owner: Dict[int, SubprocessHostExecutor] = {}
         self._cost: Dict[int, float] = {}
         self._load: Dict[str, float] = {}
@@ -631,12 +621,8 @@ class MultiHostExecutor(SweepExecutor):
             )
 
     def next_event(self, timeout: Optional[float]) -> Optional[ExecEvent]:
-        try:
-            if timeout is None:
-                event = self._events.get()
-            else:
-                event = self._events.get(timeout=max(0.0, timeout))
-        except queue.Empty:
+        event = _next(self._events, timeout)
+        if event is None:
             return None
         if event.kind == "chunk_done":
             self._settle(event.token)
@@ -649,29 +635,18 @@ class MultiHostExecutor(SweepExecutor):
         return event
 
     def expire(self, tokens: Sequence[int]) -> Tuple[List[int], bool]:
-        hosts = []
-        for token in tokens:
-            host = self._owner.get(token)
-            if host is not None and host not in hosts:
-                hosts.append(host)
+        hosts = dict.fromkeys(self._owner[t] for t in tokens if t in self._owner)
         collateral: List[int] = []
-        expired = set(tokens)
         for host in hosts:
-            mine, _fatal = host.expire(
-                [t for t in expired if self._owner.get(t) is host]
-            )
-            collateral.extend(mine)
-        for token in list(expired) + collateral:
+            mine = [t for t in tokens if self._owner.get(t) is host]
+            collateral.extend(host.expire(mine)[0])
+        for token in [*tokens, *collateral]:
             self._settle(token)
         return collateral, not self.alive
 
     def abandon(self) -> List[int]:
-        tokens: List[int] = []
-        for host in self.hosts:
-            tokens.extend(host.abandon())
-        for token in list(self._owner):
-            if token not in tokens:
-                tokens.append(token)
+        tokens = [t for host in self.hosts for t in host.abandon()]
+        tokens += [t for t in self._owner if t not in tokens]
         self._owner.clear()
         self._cost.clear()
         self._load.clear()
@@ -687,12 +662,6 @@ class MultiHostExecutor(SweepExecutor):
     def close(self) -> None:
         for host in self.hosts:
             host.close()
-
-    def host_info(self) -> Dict[str, dict]:
-        info: Dict[str, dict] = {}
-        for host in self.hosts:
-            info.update(host.host_info())
-        return info
 
 
 def select_executor(jobs: Optional[int] = None, hosts=None) -> Optional[SweepExecutor]:

@@ -54,8 +54,8 @@ ran:
   backoff, and the next generation lands them on the survivors.  Cells
   the host finished were already streamed back and cached, so nothing
   is recomputed.  A host that refuses the sweep for its code version
-  costs its cells nothing.  When the whole fleet is down, the engine
-  tears it down and restarts it.
+  costs its cells nothing and is never started again.  When the whole
+  fleet is down, the engine tears it down and restarts what it can.
 * **Stragglers** are bounded by per-chunk deadlines (``timeout_s``
   seconds per unit of estimated cost); an expired chunk's cells are
   re-queued individually and only the hung resource is torn down (a
@@ -518,49 +518,34 @@ class ParallelSweepRunner(SweepRunner):
                                     to_run.append(key)
                     elif event.kind == "chunk_done":
                         chunk = outstanding.get(event.token)
-                        if chunk is not None:
-                            if event.failure is not None:
-                                index, error_str, cause = event.failure
-                                if 0 <= index < len(chunk):
-                                    bad = chunk[index]
-                                    if index not in handled[event.token]:
-                                        handled[event.token].add(index)
-                                        attempts[bad] += 1
-                                        quarantine(bad, "error", error_str, cause)
-                                # cells behind the failure never ran:
-                                # re-queue without penalty
-                                requeue_unfinished(
-                                    event.token, event.host, "after-failure"
-                                )
-                            else:
-                                # every cell should have streamed back;
-                                # anything the worker skipped rides
-                                # back free
-                                requeue_unfinished(
-                                    event.token, event.host, "incomplete-chunk"
-                                )
-                            outstanding.pop(event.token, None)
-                            handled.pop(event.token, None)
-                            deadlines.pop(event.token, None)
+                        reason = "incomplete-chunk"
+                        if chunk is not None and event.failure is not None:
+                            reason = "after-failure"
+                            index, error_str, cause = event.failure
+                            done = handled[event.token]
+                            if 0 <= index < len(chunk) and index not in done:
+                                done.add(index)
+                                attempts[chunk[index]] += 1
+                                quarantine(chunk[index], "error", error_str, cause)
+                        # every cell should have streamed back; those
+                        # behind a failure, or skipped, ride back free
+                        requeue_unfinished(event.token, event.host, reason)
                     elif event.kind == "lost":
-                        live_tokens = [
-                            t for t in event.tokens if t in outstanding
-                        ]
                         # A host refused for its code version is no
                         # fault of the cells it was handed.
                         refused = isinstance(event.cause, CodeVersionError)
-                        n_requeued = 0
-                        for t in live_tokens:
-                            n_requeued += requeue_unfinished(
+                        n_requeued = sum(
+                            requeue_unfinished(
                                 t, event.host, "host-lost",
                                 penalize=None if refused else "crash",
                                 error=event.error or "host lost",
                                 cause=event.cause,
                             )
+                            for t in event.tokens
+                        )
                         report.host_losses += 1
                         emit("on_host_lost", event.host, event.error, n_requeued)
-                        if event.fatal:
-                            broken = True
+                        broken = event.fatal
                         break
                     if not outstanding:
                         break
@@ -576,15 +561,11 @@ class ParallelSweepRunner(SweepRunner):
                     if expired:
                         for t in expired:
                             elapsed = now - submitted_at[t]
-                            chunk = outstanding.get(t, [])
                             done_idx = handled.get(t, set())
-                            for i, key in enumerate(chunk):
-                                if i in done_idx:
-                                    continue
-                                emit(
-                                    "on_cell_timeout",
-                                    key, attempts[key] + 1, elapsed,
-                                )
+                            for i, key in enumerate(outstanding.get(t, [])):
+                                if i not in done_idx:
+                                    emit("on_cell_timeout",
+                                         key, attempts[key] + 1, elapsed)
                             requeue_unfinished(
                                 t, "", "timeout", penalize="timeout",
                                 error=f"chunk still running after {elapsed:.1f}s",
@@ -600,9 +581,7 @@ class ParallelSweepRunner(SweepRunner):
                 # Whatever is still in flight re-queues unpenalized;
                 # results its workers already cached make the re-run
                 # cheap.  The broken resources are unsalvageable.
-                for t in executor.abandon():
-                    requeue_unfinished(t, "", "executor-abandoned")
-                for t in list(outstanding):
+                for t in [*executor.abandon(), *outstanding]:
                     requeue_unfinished(t, "", "executor-abandoned")
                 report.pool_rebuilds += 1
                 if report.pool_rebuilds - rebuilds_at_layer > max_pool_rebuilds:

@@ -17,33 +17,31 @@ import io
 import json
 import os
 import signal
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import repro
 from tests.conftest import TINY_TPCH
 from tests.test_resilience import CELLS, arm, assert_grid_matches_serial
 from tests.test_resume_kill import (
-    FROZEN_CELL_MATCH,
     SWEEP_ARGS,
     result_files,
+    start_frozen_sweep,
     wait_for_first_cell_done,
 )
 
 from repro.cli import main
 from repro.config import TEST_SIM
+from repro.core import hostworker, resultcache
 from repro.core.executors import (
     MultiHostExecutor,
+    SubprocessHostExecutor,
     host_argv,
     parse_hosts,
     select_executor,
 )
 from repro.core.parallel import ParallelSweepRunner
-from repro.core.resilience import FAULT_ENV, FaultPlan, validate_result
-from repro.core import resultcache
+from repro.core.resilience import FAULT_ENV, validate_result
 from repro.core.resultcache import ResultCache, code_version
 from repro.core.wire import (
     CodeVersionError,
@@ -54,8 +52,6 @@ from repro.core.wire import (
 )
 from repro.errors import ConfigError
 from repro.obs.sinks import SweepEventRecorder
-
-SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
 #: The full tiny grid: both platforms, two queries, two widths.
 GRID = [
@@ -233,6 +229,17 @@ def cached_codes(cache_dir) -> set:
     return {json.loads(blob)["code"] for blob in result_files(cache_dir).values()}
 
 
+class OneLoss:
+    """A sink that fails a sweep at its second host loss, so a refused
+    host started again fails the test instead of looping forever."""
+
+    seen = 0
+
+    def on_host_lost(self, host, error, n_requeued) -> None:
+        self.seen += 1
+        assert self.seen == 1, f"host lost again: {error}"
+
+
 class TestOneCodeVersion:
     """A sweep writes every result under its coordinator's code version."""
 
@@ -274,11 +281,60 @@ class TestOneCodeVersion:
             hosts=[OTHER_VERSION_HOST, OTHER_VERSION_HOST],
             cache=ResultCache(cache_dir),
         )
-        report = runner.execute(CELLS[:2], max_pool_rebuilds=0)
+        report = runner.execute(CELLS[:2])
         assert report.ok and report.ran == 2 and report.degraded
         # a refusal is the host's fault, not the cells'
         assert report.host_losses >= 1 and report.crashes == 0
+        # one teardown, then no refused host is started again
+        assert report.pool_rebuilds == 1
         assert cached_codes(cache_dir) == {code_version()}
+
+    def test_refused_host_leaves_its_cells_to_the_fleet(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.delenv(FAULT_ENV, raising=False)
+        cache_dir = tmp_path / "cache"
+        runner = make_distributed(
+            hosts=[OTHER_VERSION_HOST, "local"], cache=ResultCache(cache_dir),
+        )
+        report = runner.execute(CELLS, sinks=[OneLoss()])
+        assert report.ok and report.ran == len(CELLS) and report.crashes == 0
+        assert report.pool_rebuilds == 0 and not report.degraded
+        assert runner.executor.hosts[0].refused
+        assert cached_codes(cache_dir) == {code_version()}
+        assert len(result_files(cache_dir)) == len(CELLS)
+
+
+class TestForkedHosts:
+    """A forked ``local`` host is as isolated as a spawned one."""
+
+    def test_worker_reads_eof_while_another_host_lives(self):
+        context = WorkerContext(sim=TEST_SIM, tpch=TINY_TPCH)
+        first, second = SubprocessHostExecutor(), SubprocessHostExecutor()
+        first.start(context)
+        second.start(context)
+        try:
+            # the second worker must not hold the first one's input open
+            first._proc.stdin.close()
+            assert first._proc.wait(timeout=30) == 0
+        finally:
+            first.close()
+            second.close()
+
+    def test_stray_print_in_worker_stays_off_stdout(self, monkeypatch, capfd):
+        monkeypatch.delenv(FAULT_ENV, raising=False)
+        run_cell = hostworker.run_cell_guarded
+
+        def chatty(*args):
+            os.write(1, b"stray worker output\n")  # fd 1, as print reaches it
+            return run_cell(*args)
+
+        monkeypatch.setattr(hostworker, "run_cell_guarded", chatty)
+        report = make_distributed().execute(CELLS[:2])
+        assert report.ok and report.ran == 2
+        out, err = capfd.readouterr()
+        assert "stray worker output" not in out
+        assert "stray worker output" in err
 
 
 DIST_SWEEP_ARGS = SWEEP_ARGS + ["--hosts", "local,local"]
@@ -289,19 +345,8 @@ def interrupted_distributed_cache(tmp_path):
     """A cache dir left behind by a 2-host sweep whose coordinator —
     and, via the process group, its worker fleet — died to SIGKILL."""
     cache_dir = tmp_path / "interrupted"
-    plan = FaultPlan(
-        kind="hang", ledger=str(tmp_path / "ledger"), scope="any",
-        hang_s=600.0, match=FROZEN_CELL_MATCH,
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    env[FAULT_ENV] = plan.to_env()
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro"] + DIST_SWEEP_ARGS
-        + ["--cache-dir", str(cache_dir)],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
+    proc = start_frozen_sweep(
+        tmp_path, DIST_SWEEP_ARGS + ["--cache-dir", str(cache_dir)],
         start_new_session=True,  # one process group: coordinator + hosts
     )
     try:

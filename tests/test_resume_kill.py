@@ -61,23 +61,30 @@ def wait_for_first_cell_done(cache_dir: Path, timeout_s: float = 120.0) -> Path:
     raise AssertionError("first cell never completed in the subprocess")
 
 
-@pytest.fixture
-def interrupted_cache(tmp_path):
-    """A cache dir left behind by a sweep killed -9 mid-run."""
-    cache_dir = tmp_path / "interrupted"
+def start_frozen_sweep(
+    tmp_path: Path, args, scope: str = "any", hang_s: float = 600.0, **popen
+) -> subprocess.Popen:
+    """``python -m repro <args>`` in a subprocess whose FROZEN_CELL_MATCH
+    cell hangs for ``hang_s`` seconds under a ``scope`` fault plan."""
     plan = FaultPlan(
-        kind="hang", ledger=str(tmp_path / "ledger"), scope="any",
-        hang_s=600.0, match=FROZEN_CELL_MATCH,
+        kind="hang", ledger=str(tmp_path / "ledger"), scope=scope,
+        hang_s=hang_s, match=FROZEN_CELL_MATCH,
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     env[FAULT_ENV] = plan.to_env()
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro"] + SWEEP_ARGS
-        + ["--cache-dir", str(cache_dir)],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro"] + list(args), env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, **popen,
+    )
+
+
+@pytest.fixture
+def interrupted_cache(tmp_path):
+    """A cache dir left behind by a sweep killed -9 mid-run."""
+    cache_dir = tmp_path / "interrupted"
+    proc = start_frozen_sweep(
+        tmp_path, SWEEP_ARGS + ["--cache-dir", str(cache_dir)]
     )
     try:
         manifest_path = wait_for_first_cell_done(cache_dir)
@@ -166,19 +173,9 @@ class TestNoOrphanWorkers:
         # other worker finishes its cell; then the coordinator dies
         hang_s = 5.0
         cache_dir = tmp_path / "cache"
-        plan = FaultPlan(
-            kind="hang", ledger=str(tmp_path / "ledger"),
-            hang_s=hang_s, match=FROZEN_CELL_MATCH,
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-        env[FAULT_ENV] = plan.to_env()
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro"] + SWEEP_ARGS
-            + ["--jobs", "2", "--cache-dir", str(cache_dir)],
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
+        proc = start_frozen_sweep(
+            tmp_path, SWEEP_ARGS + ["--jobs", "2", "--cache-dir", str(cache_dir)],
+            scope="worker", hang_s=hang_s,
         )
         try:
             wait_for_first_cell_done(cache_dir)
