@@ -89,7 +89,9 @@ def main(argv=None) -> int:
         "bench": "smoke_distributed_grid",
         "cells": len(cells),
         "hosts": HOSTS,
-        "host_cpus": [h.host_cpus or 1 for h in executor.hosts],
+        "host_cpus": [
+            recorder.host_cpus.get(h.label, 1) for h in executor.hosts
+        ],
         "coordinator_cpus": os.cpu_count(),
         "sf": SMOKE_TPCH.sf,
         "serial_s": round(serial_s, 3),
